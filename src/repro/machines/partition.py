@@ -12,12 +12,21 @@ them — including the unlucky partitions next to the cooling system
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.machines.network import Topology
 
-__all__ = ["Partition", "PartitionManager"]
+__all__ = ["Partition", "PartitionManager", "next_power_of_two"]
+
+
+def next_power_of_two(n: int) -> int:
+    """The partition size a job of ``n`` ranks occupies (``n`` rounded up
+    to a power of two; 1 for ``n <= 1``)."""
+    power = 1
+    while power < n:
+        power *= 2
+    return power
 
 
 @dataclass(frozen=True)
@@ -47,11 +56,10 @@ class PartitionManager:
         while usable * 2 <= topology.num_nodes:
             usable *= 2
         self.usable_nodes = usable
-        # free_blocks[k] = sorted list of start offsets of free 2^k blocks.
-        self._free: dict = {}
-        level = usable.bit_length() - 1
-        self._free = {k: [] for k in range(level + 1)}
-        self._free[level].append(0)
+        # _free[k] = sorted list of start offsets of free 2^k blocks.
+        self._top_level = usable.bit_length() - 1
+        self._free = [[] for _ in range(self._top_level + 1)]
+        self._free[self._top_level].append(0)
         self._allocated: dict = {}
         self._next_ticket = 1
 
@@ -78,8 +86,8 @@ class PartitionManager:
             )
         # Find the smallest free block able to host the request.
         source = None
-        for candidate in range(level, self.usable_nodes.bit_length()):
-            if self._free.get(candidate):
+        for candidate in range(level, self._top_level + 1):
+            if self._free[candidate]:
                 source = candidate
                 break
         if source is None:
@@ -107,8 +115,7 @@ class PartitionManager:
                 f"partition ticket {partition.ticket} is not allocated"
             )
         start, level = entry
-        top_level = self.usable_nodes.bit_length() - 1
-        while level < top_level:
+        while level < self._top_level:
             buddy = start ^ (1 << level)
             if buddy in self._free[level]:
                 self._free[level].remove(buddy)
@@ -122,7 +129,7 @@ class PartitionManager:
     @property
     def free_nodes(self) -> int:
         """Total unallocated nodes."""
-        return sum(len(starts) << level for level, starts in self._free.items())
+        return sum(len(starts) << level for level, starts in enumerate(self._free))
 
     @property
     def allocated_partitions(self) -> int:
@@ -130,8 +137,13 @@ class PartitionManager:
         return len(self._allocated)
 
     def largest_free_block(self) -> int:
-        """Size of the biggest allocatable partition right now."""
-        for level in sorted(self._free, reverse=True):
+        """Size of the biggest allocatable partition right now.
+
+        ``allocate(size)`` succeeds exactly when ``size`` is a power of
+        two no larger than this, so a caller can test fit without
+        provoking an error.
+        """
+        for level in range(self._top_level, -1, -1):
             if self._free[level]:
                 return 1 << level
         return 0

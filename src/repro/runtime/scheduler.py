@@ -28,24 +28,17 @@ boundaries had the same goal).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.machines.engine import Machine, RunResult
 from repro.machines.network import ContentionNetwork, FullyConnected
-from repro.machines.partition import Partition, PartitionManager
+from repro.machines.partition import Partition, PartitionManager, next_power_of_two
 from repro.runtime.exec import Execution, execute
-from repro.runtime.policy import FifoBackfill, QueuePolicy
+from repro.runtime.policy import FifoBackfill, PendingQueue, QueuePolicy
 from repro.runtime.spec import JobSpec
 
 __all__ = ["MachineTemplate", "machine_template", "JobResult", "Scheduler"]
-
-
-def _next_power_of_two(n: int) -> int:
-    power = 1
-    while power < n:
-        power *= 2
-    return power
 
 
 class MachineTemplate:
@@ -208,12 +201,12 @@ class Scheduler:
     deterministic: job ids increase in submission order, scheduling
     points are job completions, ties break on the smaller job id.
 
-    The queue discipline is pluggable: ``policy`` ranks the eligible
-    queue at every scheduling point
-    (:class:`~repro.runtime.policy.QueuePolicy`); the scheduler walks the
-    ranking and starts whatever fits, so any policy backfills around
-    blocked jobs.  The default :class:`~repro.runtime.policy.FifoBackfill`
-    reproduces the original FIFO + greedy backfill byte-for-byte.
+    The queue discipline is pluggable: at every scheduling point the
+    scheduler starts ``policy``'s best-ranked eligible job that fits
+    until none fits (:class:`~repro.runtime.policy.PendingQueue`), so
+    any policy backfills around blocked jobs.  The default
+    :class:`~repro.runtime.policy.FifoBackfill` reproduces the original
+    FIFO + greedy backfill byte-for-byte.
 
     Example
     -------
@@ -236,7 +229,8 @@ class Scheduler:
         # FullyConnected topology of that size is the cleanest pure
         # index space (the allocator only reads ``num_nodes``).
         self.partitions = PartitionManager(FullyConnected(template.total_nodes))
-        self._queue: list = []
+        self._pending = PendingQueue(self.policy, self.partitions)
+        self._arrivals: list = []  # heap of (submit_s, job_id, job) not yet eligible
         self._results: dict = {}
         self._next_job_id = 0
 
@@ -258,7 +252,7 @@ class Scheduler:
             raise ConfigurationError(f"job needs >= 1 rank, got {nranks}")
         if submit_s < 0.0:
             raise ConfigurationError(f"submit_s must be >= 0, got {submit_s}")
-        size = _next_power_of_two(nranks)
+        size = next_power_of_two(nranks)
         if size > self.partitions.usable_nodes:
             raise ConfigurationError(
                 f"job needs a {size}-node partition; machine offers "
@@ -267,7 +261,7 @@ class Scheduler:
         job_id = self._next_job_id
         self._next_job_id += 1
         job = _QueuedJob(job_id, spec, submit_s, size)
-        self._queue.append(job)
+        heapq.heappush(self._arrivals, (submit_s, job_id, job))
         self.policy.on_submit(job, submit_s)
         return job_id
 
@@ -275,7 +269,7 @@ class Scheduler:
         """Drain the queue; returns :class:`JobResult`s in job-id order."""
         running: list = []  # heap of (finish_s, job_id, partition, job)
         now = 0.0
-        while self._queue or running:
+        while self._arrivals or self._pending or running:
             self._start_eligible(now, running)
             if running:
                 finish_s, job_id, partition, job = heapq.heappop(running)
@@ -285,41 +279,26 @@ class Scheduler:
                 continue
             # Nothing running and nothing startable: jump to the next
             # submission instant (the machine is idle until then).
-            future = [job.submit_s for job in self._queue if job.submit_s > now]
-            if not future:
+            if not self._arrivals:
                 raise ConfigurationError(
                     "scheduler stalled with queued jobs; this should be "
                     "impossible because submit() validates partition sizes"
                 )
-            now = min(future)
+            now = self._arrivals[0][0]
         return [self._results[job_id] for job_id in sorted(self._results)]
 
     # -- internals -----------------------------------------------------------
 
     def _start_eligible(self, now: float, running: list) -> None:
-        """Start every queued job that fits, scanning policy order.
-
-        The policy's front-runner gets the first shot at the free
-        partitions; jobs ranked behind it may backfill around it only
-        when it cannot be placed (allocation failures skip, not stall).
-        """
-        eligible = [job for job in self._queue if job.submit_s <= now]
-        started = set()
-        for job in self.policy.order(eligible, now):
-            try:
-                partition = self.partitions.allocate(job.partition_size)
-            except ConfigurationError:
-                continue  # blocked; jobs ranked behind it may backfill
-            self.policy.on_start(job, now)
+        """Queue the jobs submitted by ``now``, then start every one that
+        fits, best-ranked first (:meth:`PendingQueue.start`)."""
+        while self._arrivals and self._arrivals[0][0] <= now:
+            self._pending.push(heapq.heappop(self._arrivals)[2])
+        for job, partition in self._pending.start(now):
             result = self._run_job(job, partition, now)
             heapq.heappush(
                 running, (result.finish_s, job.job_id, partition, job)
             )
-            started.add(job.job_id)
-        if started:
-            self._queue = [
-                job for job in self._queue if job.job_id not in started
-            ]
 
     def _run_job(self, job: _QueuedJob, partition: Partition, now: float) -> JobResult:
         nranks = job.spec.options.nranks

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.machines.network import FullyConnected
 from repro.machines.partition import PartitionManager
-from repro.runtime.policy import QueuePolicy, WeightedFairShare
+from repro.runtime.policy import PendingQueue, QueuePolicy, WeightedFairShare
 from repro.service.accounting import Accounting, ItemRecord
 from repro.service.admission import AdmissionController
 from repro.service.arrivals import ArrivalProcess
@@ -79,14 +79,11 @@ class _Submission:
     tenant: str
     priority: int
     template: JobTemplate
+    partition_size: int
     arrivals: list  # per-item arrival instants
     service_s: float
     submit_s: float
     pipeline: tuple | None = None  # (pipeline_instance_id, stage_index)
-
-    @property
-    def partition_size(self) -> int:
-        return self.template.partition_size
 
     @property
     def cost(self) -> float:
@@ -188,7 +185,7 @@ class Service:
         # -- run state -------------------------------------------------------
         self._events: list = []
         self._seq = 0
-        self._pending: list = []
+        self._pending = PendingQueue(self.policy, self.partitions)
         self._running = 0
         self._open_batches: dict = {}  # (tenant, template) -> [arrival instants]
         self._pipelines: dict = {}
@@ -387,13 +384,14 @@ class Service:
             tenant=tenant,
             priority=priority,
             template=template,
+            partition_size=template.partition_size,
             arrivals=list(arrivals),
             service_s=service_s,
             submit_s=time_s,
             pipeline=pipeline,
         )
         self._next_job_id += 1
-        self._pending.append(submission)
+        self._pending.push(submission)
         self._bump_tenant(tenant, 1)
         self.accounting.record_submission()
         self.policy.on_submit(submission, time_s)
@@ -401,23 +399,10 @@ class Service:
     # -- scheduling / completion ---------------------------------------------
 
     def _schedule_pass(self, time_s: float) -> None:
-        if not self._pending:
-            return
-        started = set()
-        for submission in self.policy.order(self._pending, time_s):
-            try:
-                partition = self.partitions.allocate(submission.partition_size)
-            except ConfigurationError:
-                continue  # blocked; lower-ranked submissions may backfill
-            self.policy.on_start(submission, time_s)
+        for submission, partition in self._pending.start(time_s):
             finish_s = time_s + submission.service_s
             self._push(finish_s, _FINISH, (submission, partition, time_s))
             self._running += 1
-            started.add(submission.job_id)
-        if started:
-            self._pending = [
-                s for s in self._pending if s.job_id not in started
-            ]
 
     def _handle_finish(self, time_s: float, payload) -> None:
         submission, partition, start_s = payload

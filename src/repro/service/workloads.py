@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.machines.partition import next_power_of_two
 
 __all__ = [
     "JobTemplate",
@@ -34,15 +35,7 @@ __all__ = [
     "default_mix",
     "get_mix",
     "MIX_BUILDERS",
-    "next_power_of_two",
 ]
-
-
-def next_power_of_two(n: int) -> int:
-    power = 1
-    while power < n:
-        power *= 2
-    return power
 
 
 @dataclass(frozen=True)

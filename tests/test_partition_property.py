@@ -89,6 +89,22 @@ def test_full_release_coalesces_to_one_block(sequence):
     assert manager.allocated_partitions == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(sequence=steps, size=st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+def test_allocate_succeeds_iff_size_fits_largest_free_block(sequence, size):
+    # The scheduling pass tests fit with largest_free_block() instead of
+    # provoking allocation errors; that is sound only if the two agree.
+    manager = PartitionManager(FullyConnected(MACHINE_NODES))
+    drive(manager, sequence)
+    fits = size <= manager.largest_free_block()
+    try:
+        manager.allocate(size)
+    except ConfigurationError:
+        assert not fits
+    else:
+        assert fits
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     nodes=st.integers(min_value=1, max_value=200),

@@ -5,9 +5,11 @@ backfill determinism, byte-identical partition runs vs standalone
 machines of the same size, and queue-wait/turnaround accounting.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from tests._digest_util import run_result_digest
+from tests._digest_util import digest, run_result_digest
 from repro.data import landsat_like_scene
 from repro.errors import ConfigurationError
 from repro.machines import paragon
@@ -16,6 +18,7 @@ from repro.runtime import (
     RunOptions,
     Scheduler,
     machine_template,
+    make_policy,
 )
 from repro.wavelet import filter_bank_for_length
 from repro.wavelet.parallel import run_spmd_wavelet
@@ -227,3 +230,48 @@ class TestAccounting:
             result.execution.total_virtual_s
         )
         assert result.service_s > result.run.elapsed_s
+
+
+# (program, nranks, tenant, priority, submit_s): partition sizes 1-64,
+# three tenants, three priorities, submit times out of job-id order.
+PINNED_STREAM = (
+    ("workload", 32, "a", 0, 0.0),
+    ("wavelet", 8, "b", 1, 0.004),
+    ("workload", 64, "c", 2, 0.0),
+    ("workload", 3, "a", 1, 0.012),
+    ("workload", 16, "b", 0, 0.0),
+    ("workload", 6, "c", 0, 0.002),
+    ("wavelet", 4, "a", 2, 0.02),
+    ("workload", 16, "b", 2, 0.001),
+    ("workload", 1, "c", 1, 0.0),
+    ("wavelet", 2, "a", 0, 0.006),
+    ("workload", 12, "b", 1, 0.0),
+    ("workload", 32, "c", 1, 0.015),
+    ("wavelet", 8, "a", 1, 0.0),
+    ("workload", 4, "b", 2, 0.03),
+)
+
+# sha256 of [(job_id, start_s, finish_s, nodes)] in job-id order,
+# captured from the raise-and-skip scheduling walk that PendingQueue
+# replaced.
+PINNED_SCHEDULES = {
+    "fifo": "c0f1afd4f3f14add587c01c82ec85c9eaddd696a13841bfeb098ef9e029292e1",
+    "fair": "704ddf94eb712514e2daad860b5b623b69c2a6e2c59beaa3ccf149e0fa573cf5",
+}
+
+
+class TestPinnedSchedule:
+    @pytest.mark.parametrize("policy", sorted(PINNED_SCHEDULES))
+    def test_schedule_digest(self, policy):
+        sched = Scheduler(
+            machine_template("paragon", protocol="pvm"),
+            policy=make_policy(policy, weights={"a": 2.0, "b": 1.0, "c": 0.5}),
+        )
+        for program, nranks, tenant, priority, submit_s in PINNED_STREAM:
+            build = wavelet_spec if program == "wavelet" else workload_spec
+            spec = replace(build(nranks), tenant=tenant, priority=priority)
+            sched.submit(spec, submit_s=submit_s)
+        schedule = [
+            (r.job_id, r.start_s, r.finish_s, r.nodes) for r in sched.run()
+        ]
+        assert digest(schedule) == PINNED_SCHEDULES[policy]

@@ -3,17 +3,21 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.runtime import machine_template
 from repro.service import (
     LOADSWEEP_SCHEMA,
+    EngineOracle,
     FixedOracle,
     JobTemplate,
     Mix,
     TenantProfile,
     detect_knee,
     estimate_capacity_rate,
+    get_mix,
     run_load_sweep,
     validate_loadsweep,
 )
+from tests._digest_util import digest
 
 
 def flat_mix() -> Mix:
@@ -145,3 +149,37 @@ class TestValidateLoadsweep:
         doc["knee"]["offered_load"] = 99.0
         with pytest.raises(ConfigurationError):
             validate_loadsweep(doc)
+
+
+# sha256 of whole run_load_sweep reports: the 64-node Paragon (NX), the
+# default mix, the default load grid, horizon 5 s.  Captured from the
+# raise-and-skip scheduling walk that PendingQueue replaced; a mismatch
+# is a regression, not a reason to re-pin.
+PINNED_SWEEPS = {
+    ("fair", "poisson", 0): "04a7cf45ad9656fc70de012d46895dd56b629502d194035c6fbb5632e6857315",
+    ("fair", "poisson", 3): "2a1f52f7520bdc4d18823c4dd1d20de1978cd621dd336be943be0d0bbd4051ea",
+    ("fair", "bursty", 1): "7f39a9086e5093cfd5f89b09d9fd2bbdcedfa6edd95c3a3fc4847d699f852a50",
+    ("fifo", "poisson", 0): "61c4c98594a6e8902a88ae83eaf716656a20d8a71286443b25b59fd2ee018dd4",
+    ("fifo", "poisson", 3): "a78e4da05de324641dbbbeeaac8c57f207325926750dc054503b193553d9fb3f",
+    ("fifo", "bursty", 1): "3b84f02a3bba585b63111f1ef0010a67ce841fad8193413058d3815b727ef5cc",
+}
+
+
+@pytest.fixture(scope="module")
+def paragon_oracle():
+    return EngineOracle("paragon", protocol="nx")
+
+
+class TestPinnedParagonSweeps:
+    @pytest.mark.parametrize("policy,arrival,seed", sorted(PINNED_SWEEPS))
+    def test_report_digest(self, paragon_oracle, policy, arrival, seed):
+        doc = run_load_sweep(
+            machine_template("paragon", protocol="nx").total_nodes,
+            get_mix("default"),
+            paragon_oracle,
+            arrival_kind=arrival,
+            seed=seed,
+            horizon_s=5.0,
+            policy_name=policy,
+        )
+        assert digest(doc) == PINNED_SWEEPS[(policy, arrival, seed)]
