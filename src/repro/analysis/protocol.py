@@ -669,8 +669,8 @@ def extract_protocol(
 
 
 def _tag_exempt(tag: int | None) -> bool:
-    """Tags owned by a reserved range (collectives, reliable transport,
-    bench fan-in) are matched by their own layer, not at program level."""
+    """Tags owned by a reserved range (collectives, reliable transport)
+    are matched by their own layer, not at program level."""
     if tag is None:
         return False
     from repro.machines.tags import protocol_kind

@@ -28,15 +28,6 @@ writing code:
     runtime :class:`~repro.runtime.scheduler.Scheduler` (buddy
     power-of-two partitions, FIFO + backfill) and report per-job
     queue-wait/service/turnaround plus makespan and utilization.
-``bench``
-    Wall-clock kernel benchmark: time the sequential decomposition under
-    every registered kernel (conv/lifting/fused/single-loop), cross-check
-    the numerics against the conv reference, and write
-    ``BENCH_wavelet.json``.  ``--virtual`` reports deterministic virtual
-    time through the runtime layer instead.  ``--ratchet BASELINE``
-    compares kernel speedups against a committed baseline (including its
-    per-PR history trajectory) and fails on regression; ``--history-pr
-    ID`` stamps the written document with a trajectory entry.
 ``serve``
     Multi-tenant service simulation in virtual time: seeded open-loop
     arrivals over a tenant mix, admission control, batching, fair-share
@@ -205,67 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--collective", default="rdouble", choices=("rdouble", "rabenseifner"),
         help="all-reduce schedule for programs with global reductions "
         "(pic/workload; default rdouble)",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="wall-clock kernel benchmark (conv vs lifting vs fused vs "
-        "single-loop)",
-    )
-    bench.add_argument(
-        "--virtual", action="store_true",
-        help="report deterministic virtual time through the runtime layer "
-        "(parallel SPMD run on a simulated machine) instead of wall clock",
-    )
-    bench.add_argument(
-        "--procs", type=int, default=8,
-        help="simulated rank count for --virtual (default 8)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized case subset (256^2 only, fewer repeats)",
-    )
-    bench.add_argument("--warmup", type=int, default=1, help="untimed iterations per pair")
-    bench.add_argument("--repeats", type=int, default=5, help="timed iterations per pair")
-    bench.add_argument(
-        "--trim", type=int, default=1,
-        help="extremes dropped from each end before averaging",
-    )
-    bench.add_argument("--seed", type=int, default=2024, help="input image RNG seed")
-    bench.add_argument(
-        "--out", default="BENCH_wavelet.json",
-        help="output JSON path (default BENCH_wavelet.json)",
-    )
-    bench.add_argument(
-        "--ratchet", default=None, metavar="BASELINE",
-        help="compare kernel speedups against a committed baseline JSON "
-        "and exit 1 on regression beyond tolerance",
-    )
-    bench.add_argument(
-        "--ratchet-tolerance", type=float, default=0.25,
-        help="allowed fractional speedup regression for --ratchet "
-        "(default 0.25)",
-    )
-    bench.add_argument(
-        "--history-pr", default=None, metavar="ID",
-        help="stamp the written document with a per-PR perf-trajectory "
-        "entry under this id, carrying forward the history of the "
-        "--ratchet baseline (or of an existing --out file)",
-    )
-    bench.add_argument(
-        "--engine", action="store_true",
-        help="engine rank-scaling sweep (indexed vs linear matcher on "
-        "1k-4k-rank meshes) instead of the kernel benchmark; writes "
-        "BENCH_engine.json unless --out is given",
-    )
-    bench.add_argument(
-        "--ranks", default=None, metavar="R1,R2,...",
-        help="rank counts for --engine (default 64,256,1024,4096; "
-        "--quick uses 1024 only)",
-    )
-    bench.add_argument(
-        "--rounds", type=int, default=2,
-        help="wavelet/collect rounds per --engine case (default 2)",
     )
 
     serve = sub.add_parser(
@@ -936,135 +866,6 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
-def _bench_ratchet(args, doc) -> int:
-    """Apply the --ratchet speedup comparison; returns the exit code."""
-    if not args.ratchet:
-        return 0
-    from repro.perf.ratchet import check_ratchet, format_ratchet
-
-    report = check_ratchet(doc, args.ratchet, tolerance=args.ratchet_tolerance)
-    print(format_ratchet(report))
-    return 0 if report["ok"] else 1
-
-
-def _cmd_engine_bench(args) -> int:
-    import json
-
-    from repro.perf.engine_bench import (
-        DEFAULT_RANKS,
-        format_engine_bench,
-        run_engine_sweep,
-        validate_engine_bench_document,
-    )
-
-    if args.ranks:
-        ranks = tuple(int(r) for r in args.ranks.split(","))
-    elif args.quick:
-        ranks = (1024,)
-    else:
-        ranks = DEFAULT_RANKS
-    # --quick trims the rank list, not the rounds: speedups at rounds=1
-    # are structurally lower (matching cost grows with queue depth), so
-    # a quick run must measure the same per-case shape it ratchets
-    # against.
-    doc = run_engine_sweep(ranks, rounds=args.rounds)
-    validate_engine_bench_document(doc)
-    print(format_engine_bench(doc))
-    out = args.out if args.out != "BENCH_wavelet.json" else "BENCH_engine.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(doc['results'])} results to {out}")
-    return _bench_ratchet(args, doc)
-
-
-def _cmd_bench(args) -> int:
-    from repro.perf import format_table
-    from repro.perf.bench import (
-        default_cases,
-        quick_cases,
-        record_history,
-        run_bench,
-        run_virtual_bench,
-        write_bench_json,
-    )
-
-    if args.engine:
-        return _cmd_engine_bench(args)
-
-    if args.virtual:
-        cases = quick_cases() if args.quick else default_cases()
-        doc = run_virtual_bench(cases, nranks=args.procs, seed=args.seed)
-        rows = [
-            [
-                f"{row['size']}x{row['size']}",
-                f"F{row['filter_length']}/L{row['levels']}",
-                row["kernel"],
-                f"{row['virtual_s'] * 1e3:.3f}",
-                f"{row['speedup_vs_conv']:.2f}x",
-            ]
-            for row in doc["results"]
-        ]
-        print(
-            format_table(
-                f"kernel benchmark (virtual time, {args.procs} ranks)",
-                ["image", "case", "kernel", "ms/op", "speedup"],
-                rows,
-            )
-        )
-        for skip in doc["skipped"]:
-            print(f"skipped {skip['case']}: {skip['reason']}")
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {len(doc['results'])} results to {args.out}")
-        return _bench_ratchet(args, doc)
-
-    cases = quick_cases() if args.quick else default_cases()
-    repeats = min(args.repeats, 3) if args.quick else args.repeats
-    doc = run_bench(
-        cases,
-        warmup=args.warmup,
-        repeats=repeats,
-        trim=args.trim,
-        seed=args.seed,
-    )
-
-    rows = []
-    for row in doc["results"]:
-        rows.append(
-            [
-                f"{row['size']}x{row['size']}",
-                f"F{row['filter_length']}/L{row['levels']}",
-                row["kernel"],
-                f"{row['ns_per_op'] / 1e6:.3f}",
-                f"{row['speedup_vs_conv']:.2f}x",
-                f"{row['max_abs_vs_conv']:.1e}",
-                f"{row['round_trip_error']:.1e}",
-            ]
-        )
-    print(
-        format_table(
-            "kernel benchmark (trimmed-mean wall clock)",
-            ["image", "case", "kernel", "ms/op", "speedup", "vs_conv", "round_trip"],
-            rows,
-        )
-    )
-    if args.history_pr:
-        import os
-
-        from repro.perf.ratchet import load_bench
-
-        prior_path = args.ratchet or args.out
-        prior = load_bench(prior_path) if os.path.exists(prior_path) else None
-        record_history(doc, args.history_pr, prior)
-    write_bench_json(args.out, doc)
-    print(f"wrote {len(doc['results'])} results to {args.out}")
-    return _bench_ratchet(args, doc)
-
-
 def _serve_human(doc: dict) -> None:
     """Render a service snapshot as tables on stdout."""
     from repro.perf import format_table
@@ -1500,7 +1301,6 @@ _COMMANDS = {
     "trace": _cmd_trace,
     "faults": _cmd_faults,
     "schedule": _cmd_schedule,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "attack": _cmd_attack,
     "lint": _cmd_lint,

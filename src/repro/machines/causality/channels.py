@@ -25,8 +25,8 @@ def observed_channels(trace: Iterable, *, user_only: bool = True) -> set:
     """The ``{(src, dst, tag)}`` channels used by a recorded trace.
 
     With ``user_only`` (the default) channels on registry-reserved tags —
-    collective internals, reliable-transport data/acks, bench fan-ins —
-    are dropped: they belong to the owning layer's protocol, not the
+    collective internals and reliable-transport data/acks — are
+    dropped: they belong to the owning layer's protocol, not the
     program's, and the static verifier exempts them for the same reason.
     Collectives invoked with an explicit user tag (e.g. the PIC final
     gather) stay visible on both sides.

@@ -460,8 +460,8 @@ class RunResult:
     #: retransmits, dropped, corrupted, duplicates, delayed, checkpoints.
     fault_stats: dict = None
     #: Engine-internals counters for the run (always present): ops retired
-    #: (``events``), matcher mode, wildcard-heap activity, and route/path
-    #: cache hits from the network layer.
+    #: (``events``), wildcard-heap activity, and route/path cache hits
+    #: from the network layer.
     engine_stats: dict = None
 
     @property
@@ -564,12 +564,9 @@ class Engine:
     retransmitted (exponential backoff charged in virtual time) so program
     *values* are unaffected — only the schedule and the budgets change.
 
-    ``matcher`` selects the mailbox-matching implementation: ``"indexed"``
-    (the default — O(1) exact-key lookup plus arrival-ordered wildcard
-    heaps) or ``"linear"`` (the original full-mailbox scan, retained as
-    the differential-testing reference and benchmark baseline).  The two
-    are bitwise-equivalent: both implement the documented
-    ``(arrive, (src, tag))`` lexicographic matching rule.
+    Mailbox matching is indexed: an exact-key receive is one dict lookup,
+    and wildcard receives pop arrival-ordered heaps, both implementing the
+    documented ``(arrive, (src, tag))`` lexicographic matching rule.
     """
 
     def __init__(
@@ -578,16 +575,10 @@ class Engine:
         *,
         record_trace: bool = False,
         faults=None,
-        matcher: str = "indexed",
     ) -> None:
-        if matcher not in ("indexed", "linear"):
-            raise ConfigurationError(
-                f"unknown matcher {matcher!r}; use 'indexed' or 'linear'"
-            )
         self.machine = machine
         self.record_trace = record_trace
         self.faults = faults
-        self.matcher = matcher
         self.fault_stats: dict = {}
         self.engine_stats: dict = {}
         self._trace: list = []
@@ -711,7 +702,6 @@ class Engine:
         network = machine.network
         route_hits, route_misses = network.topology.route_cache_stats()
         self.engine_stats = {
-            "matcher": self.matcher,
             "events": self._events,
             "wildcard_matches": self._wildcard_matches,
             "wildcard_backfills": self._wildcard_backfills,
@@ -1069,8 +1059,8 @@ class Engine:
 
     # -- mailbox matching ----------------------------------------------------
     #
-    # Both matchers implement the same documented rule: the earliest-
-    # arriving matching message wins, ties on arrival time break on the
+    # Matching implements one documented rule: the earliest-arriving
+    # matching message wins, and ties on arrival time break on the
     # smallest (src, tag) pair — the (arrive, (src, tag)) lexicographic
     # minimum.  Per-channel arrivals are monotone non-decreasing
     # (arrive_floor enforces FIFO non-overtaking), so only each queue's
@@ -1163,8 +1153,6 @@ class Engine:
         set (a timed receive's deadline), messages arriving strictly
         after it cannot satisfy the receive and stay queued.
         """
-        if self.matcher == "linear":
-            return self._match_linear(st, op, before)
         src, tag = op.src, op.tag
         if src != ANY_SOURCE and tag != ANY_TAG:
             # Exact-key receive: one dict lookup, no scan.
@@ -1203,37 +1191,6 @@ class Engine:
             self._wildcard_matches += 1
             return key, self._pop_channel(st, key)
         return None
-
-    def _match_linear(self, st: _RankState, op: _RecvOp, before: float | None = None):
-        """Reference matcher: full scan over every (src, tag) queue.
-
-        Kept verbatim as the differential-testing oracle for the indexed
-        matcher and as the benchmark baseline (``Engine(matcher="linear")``).
-        """
-        best_key = None
-        best_arrive = None
-        # Order-insensitive: the loop reduces to a lexicographic minimum,
-        # so mailbox insertion order cannot leak into matching.
-        # lint: disable-next=DET-DICT-ITERATION
-        for (src, tag), queue in st.mailbox.items():
-            if not queue:
-                continue
-            if op.src != ANY_SOURCE and src != op.src:
-                continue
-            if op.tag != ANY_TAG and tag != op.tag:
-                continue
-            arrive = queue[0][0]
-            if before is not None and arrive > before:
-                continue
-            if (
-                best_arrive is None
-                or arrive < best_arrive
-                or (arrive == best_arrive and (src, tag) < best_key)
-            ):
-                best_arrive, best_key = arrive, (src, tag)
-        if best_key is None:
-            return None
-        return best_key, self._pop_channel(st, best_key)
 
     def _complete_recv(self, st: _RankState, op: _RecvOp, matched) -> None:
         machine = self.machine

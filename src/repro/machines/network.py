@@ -273,17 +273,9 @@ class ContentionNetwork:
     #: scaling a transfer's duration (transient link degradation).
     link_slowdown: object = field(default=None, repr=False)
 
-    _free_at: dict = field(default_factory=dict, repr=False)
     messages_sent: int = field(default=0, repr=False)
     bytes_sent: int = field(default=0, repr=False)
     total_contention_s: float = field(default=0.0, repr=False)
-    #: ``True`` (default) uses the vectorized fast path: interned channel
-    #: ids, per-(src, dst) precomputed path-id arrays, and a NumPy
-    #: free-time vector.  ``False`` keeps the original per-channel dict
-    #: walk (the benchmark baseline).  Both are bitwise-identical:
-    #: ``max`` over floats returns one of its operands exactly, and the
-    #: duration arithmetic stays pure Python either way.
-    use_path_cache: bool = field(default=True, repr=False)
     _chan_ids: dict = field(default_factory=dict, repr=False, compare=False)
     _paths: OrderedDict = field(
         default_factory=OrderedDict, repr=False, compare=False
@@ -296,13 +288,12 @@ class ContentionNetwork:
     path_cache_misses: int = field(default=0, repr=False, compare=False)
 
     def reset(self) -> None:
-        """Clear all channel busy state and traffic counters.
+        """Clear the channel free times and traffic counters.
 
         Static route knowledge (interned channel ids, cached path arrays,
         the topology's route cache) survives: it is a pure function of the
         topology, so successive runs on one machine reuse it.
         """
-        self._free_at.clear()
         self._free_times[:] = 0.0
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -381,8 +372,6 @@ class ContentionNetwork:
         self.bytes_sent += nbytes
         if src == dst:
             return t_inject + nbytes / self.local_bytes_per_s
-        if not self.use_path_cache:
-            return self._transfer_uncached(src, dst, nbytes, t_inject)
 
         ids = self._path_ids(src, dst)
         free = self._free_times
@@ -414,22 +403,4 @@ class ContentionNetwork:
                 free[cid] = t_end
         else:
             free[ids] = t_end
-        return t_end
-
-    def _transfer_uncached(
-        self, src: int, dst: int, nbytes: int, t_inject: float
-    ) -> float:
-        """Original per-channel dict walk, kept as the benchmark baseline
-        (``use_path_cache=False``) and scalar reference."""
-        path = self.topology.route(src, dst)
-        t_start = t_inject
-        for channel in path:
-            t_start = max(t_start, self._free_at.get(channel, 0.0))
-        self.total_contention_s += t_start - t_inject
-        duration = self.latency_s + len(path) * self.per_hop_s + nbytes / self.bytes_per_s
-        if self.link_slowdown is not None:
-            duration *= self.link_slowdown(src, dst, t_start)
-        t_end = t_start + duration
-        for channel in path:
-            self._free_at[channel] = t_end
         return t_end

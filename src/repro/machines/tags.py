@@ -78,8 +78,6 @@ __all__ = [
     "PIC_FINAL",
     # adversarial scenarios
     "ADVERSARY_SPAM",
-    # engine rank-scaling benchmark
-    "ENGINE_BENCH_TAG_BASE",
     # collectives
     "COLLECTIVE_TAG_BASE",
     "COLLECTIVE_BCAST",
@@ -107,9 +105,9 @@ class TagRange:
 
     ``protocol`` classifies the matching discipline of the owning layer
     for the symbolic protocol verifier (:mod:`repro.analysis.protocol`):
-    ``"app"`` tags are matched at program level; ``"collective"``,
-    ``"paired"`` (ack'd transport) and ``"fan-in"`` traffic is matched by
-    its own layer and exempt from program-level send/recv pairing.
+    ``"app"`` tags are matched at program level; ``"collective"`` and
+    ``"paired"`` (ack'd transport) traffic is matched by its own layer and
+    exempt from program-level send/recv pairing.
     ``partner_shift`` records, for paired ranges, the constant offset to
     the partner block (data→ack and back) so the inversion is checkable.
     """
@@ -328,15 +326,6 @@ COLLECTIVE_ALLTOALL = COLLECTIVE_TAG_BASE + 9
 COLLECTIVE_SENDRECV = COLLECTIVE_TAG_BASE + 10
 COLLECTIVE_RABENSEIFNER = COLLECTIVE_TAG_BASE + 11
 COLLECTIVE_BCAST_TREE = COLLECTIVE_TAG_BASE + 12
-
-# -- engine rank-scaling benchmark (repro.perf.engine_bench) ---------------
-# The collect-stage workload ships one message per sub-band under its own
-# tag; reserving the small range keeps those tags collision-checked against
-# every program tag and the collective/transport bands.
-ENGINE_BENCH_TAG_BASE = 880_000
-_ENGINE_BENCH_RANGE = REGISTRY.reserve_range(
-    "bench.engine.collect", ENGINE_BENCH_TAG_BASE, ENGINE_BENCH_TAG_BASE + 16, protocol="fan-in"
-)
 
 # -- reliable transport (repro.machines.faults.transport) ------------------
 TRANSPORT_TAG_SPAN = 25_000

@@ -6,8 +6,7 @@ backlog samples.  :meth:`Accounting.snapshot` reduces the raw records to
 the dashboard numbers — p50/p99 queue wait and turnaround, utilization,
 backlog depth, shed rate, per-tenant breakdowns — as a schema-versioned
 document (``repro.service.snapshot/v1``) that
-:func:`validate_snapshot` checks structurally, the same contract the
-benchmark harness uses for ``BENCH_wavelet.json``.
+:func:`validate_snapshot` checks structurally.
 
 Percentiles use the deterministic nearest-rank method (no interpolation)
 so pinned-seed tests can assert exact values.

@@ -47,16 +47,9 @@ class TestRepoIsClean:
         report = lint_paths()
         waived = sorted((f.module, f.rule_id) for f in report.suppressed)
         assert waived == [
-            # _match_linear and _backfill_heap both reduce their dict
-            # walk to an order-insensitive minimum.
+            # _backfill_heap heapifies its dict walk, so mailbox order
+            # cannot leak into matching.
             ("repro.machines.engine", "DET-DICT-ITERATION"),
-            ("repro.machines.engine", "DET-DICT-ITERATION"),
-            ("repro.perf.bench", "DET-WALL-CLOCK"),
-            ("repro.perf.bench", "DET-WALL-CLOCK"),
-            # The engine rank-scaling benchmark times host seconds by
-            # design (events/sec is the quantity under ratchet).
-            ("repro.perf.engine_bench", "DET-WALL-CLOCK"),
-            ("repro.perf.engine_bench", "DET-WALL-CLOCK"),
         ]
 
 

@@ -179,30 +179,3 @@ class TestServeCommand:
             ["serve", "--horizon", "5", "--policy", "fifo"]
         ) == 0
         assert "policy=fifo" in capsys.readouterr().out
-
-
-class TestBenchRatchetFlag:
-    def test_ratchet_pass_and_fail(self, tmp_path, capsys):
-        import json
-
-        from repro.perf.bench import BenchCase, run_bench
-
-        doc = run_bench([BenchCase(32, 2, 1)], warmup=0, repeats=2, trim=0, seed=0)
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps(doc))
-        from repro.cli import _bench_ratchet
-
-        class Args:
-            ratchet = str(baseline)
-            ratchet_tolerance = 0.25
-
-        assert _bench_ratchet(Args, doc) == 0
-        assert "ratchet passed" in capsys.readouterr().out
-
-        inflated = json.loads(json.dumps(doc))
-        for row in inflated["results"]:
-            if row["kernel"] != "conv":
-                row["speedup_vs_conv"] *= 10.0
-        baseline.write_text(json.dumps(inflated))
-        assert _bench_ratchet(Args, doc) == 1
-        assert "REGRESSED" in capsys.readouterr().out

@@ -1,5 +1,5 @@
-"""Differential tests of the indexed mailbox matcher against the
-retained linear reference.
+"""Differential tests of the indexed mailbox matcher against a linear
+scan of the whole mailbox (``LinearMatchEngine``, defined here).
 
 The indexed matcher (exact-key lookup plus lazily-invalidated wildcard
 heaps) must pop the *identical* entry in the *identical* order as the
@@ -7,19 +7,54 @@ linear scan for every interleaving of sends and receives — the
 ``(arrive, (src, tag))`` tie-break is part of the engine's determinism
 contract and every digest pin depends on it.  The property test drives
 both matchers through random interleavings at the data-structure level;
-the engine-level test checks full runs agree bitwise.  Also here: the
+the engine-level tests check full runs agree bitwise.  Also here: the
 vclock-gating satellite (untraced runs carry no O(P) clock state) and
 the ``engine_stats`` surface.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machines import Engine, Machine
+from repro.machines import Engine, Machine, api
 from repro.machines.cpu import CpuModel
 from repro.machines.engine import ANY_SOURCE, ANY_TAG, _RankState, _RecvOp
 from repro.machines.network import ContentionNetwork, FullyConnected
+from repro.machines.specs import scaled_mesh
+from repro.wavelet import filter_bank_for_length
+from repro.wavelet.parallel.decomposition import StripeDecomposition
+from repro.wavelet.parallel.spmd import striped_wavelet_program
+
+
+class LinearMatchEngine(Engine):
+    """The engine with a full scan over every ``(src, tag)`` queue as
+    its matcher: the reference the indexed matcher must agree with."""
+
+    def _match(self, st, op, before=None):
+        best_key = None
+        best_arrive = None
+        # Order-insensitive: the loop reduces to a lexicographic minimum,
+        # so mailbox insertion order cannot leak into matching.
+        for (src, tag), queue in st.mailbox.items():
+            if not queue:
+                continue
+            if op.src != ANY_SOURCE and src != op.src:
+                continue
+            if op.tag != ANY_TAG and tag != op.tag:
+                continue
+            arrive = queue[0][0]
+            if before is not None and arrive > before:
+                continue
+            if (
+                best_arrive is None
+                or arrive < best_arrive
+                or (arrive == best_arrive and (src, tag) < best_key)
+            ):
+                best_arrive, best_key = arrive, (src, tag)
+        if best_key is None:
+            return None
+        return best_key, self._pop_channel(st, best_key)
 
 
 def ideal_machine(nranks):
@@ -63,8 +98,8 @@ class TestMatcherDifferential:
     @settings(max_examples=200, deadline=None)
     def test_indexed_pops_identical_entries_in_identical_order(self, steps):
         machine = ideal_machine(2)
-        indexed = Engine(machine, matcher="indexed")
-        linear = Engine(machine, matcher="linear")
+        indexed = Engine(machine)
+        linear = LinearMatchEngine(machine)
         st_indexed = _RankState(0, None)
         st_linear = _RankState(0, None)
         floors = {}
@@ -130,15 +165,40 @@ class TestMatcherDifferential:
                 yield ctx.send(0, (ctx.rank, tag), tag=tag)
             return None
 
-        runs = {
-            matcher: Engine(ideal_machine(nranks), matcher=matcher).run(prog)
-            for matcher in ("indexed", "linear")
-        }
-        a, b = runs["indexed"], runs["linear"]
+        a = Engine(ideal_machine(nranks)).run(prog)
+        b = LinearMatchEngine(ideal_machine(nranks)).run(prog)
         assert a.results == b.results
         assert a.elapsed_s == b.elapsed_s
         assert a.finish_times == b.finish_times
         assert a.engine_stats["events"] == b.engine_stats["events"]
+
+    @pytest.mark.parametrize("placement", ["snake", "naive"])
+    def test_mesh_wavelet_and_collectives_agree_bitwise(self, placement):
+        """A striped decomposition, a k-nomial broadcast and a
+        Rabenseifner all-reduce on a contended 16-rank mesh give the same
+        values, virtual times and contention under both matchers."""
+        nranks, cols = 16, 16
+        rows = 4 * nranks
+        image = np.random.default_rng(0).standard_normal((rows, cols))
+        bank = filter_bank_for_length(4)
+        decomp = StripeDecomposition(rows, cols, nranks, 1)
+
+        def prog(ctx):
+            gathered = yield from striped_wavelet_program(ctx, image, bank, 1, decomp)
+            checksum = 0.0
+            if ctx.rank == 0:
+                checksum = float(sum(np.sum(piece["approx"]) for piece in gathered))
+            checksum = yield from api.broadcast_tree(ctx, checksum, root=0)
+            share = np.full(ctx.nranks, checksum / ctx.nranks)
+            total = yield from api.allreduce_rabenseifner(ctx, share)
+            return float(total[0])
+
+        a = Engine(scaled_mesh(nranks, placement)).run(prog)
+        b = LinearMatchEngine(scaled_mesh(nranks, placement)).run(prog)
+        assert a.results == b.results
+        assert a.elapsed_s == b.elapsed_s
+        assert a.contention_s == b.contention_s
+        assert a.finish_times == b.finish_times
 
 
 class TestVclockGating:
@@ -174,7 +234,7 @@ class TestVclockGating:
 
 
 class TestEngineStats:
-    def fan_in(self, matcher):
+    def fan_in(self):
         def prog(ctx):
             if ctx.rank == 0:
                 got = []
@@ -184,11 +244,10 @@ class TestEngineStats:
             yield ctx.send(0, ctx.rank, tag=3)
             return None
 
-        return Engine(ideal_machine(4), matcher=matcher).run(prog)
+        return Engine(ideal_machine(4)).run(prog)
 
     def test_stats_surface(self):
-        stats = self.fan_in("indexed").engine_stats
-        assert stats["matcher"] == "indexed"
+        stats = self.fan_in().engine_stats
         assert stats["events"] > 0
         assert stats["wildcard_matches"] == 3
         assert stats["wildcard_backfills"] >= 0
@@ -199,14 +258,3 @@ class TestEngineStats:
             "path_cache_misses",
         ):
             assert stats[key] >= 0
-
-    def test_linear_matcher_reported(self):
-        stats = self.fan_in("linear").engine_stats
-        assert stats["matcher"] == "linear"
-        assert stats["wildcard_matches"] == 0  # counter is index-path only
-
-    def test_unknown_matcher_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            Engine(ideal_machine(2), matcher="quadratic")

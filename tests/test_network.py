@@ -1,11 +1,42 @@
-"""Tests for topologies, routing, and the contention model."""
+"""Tests for topologies, routing, the contention model, and the scaled
+machine specs built on them (``scaled_mesh`` / ``scaled_torus``)."""
 
 import random
+from dataclasses import dataclass, field
 
 import pytest
 
 from repro.errors import CommunicationError, ConfigurationError
 from repro.machines.network import ContentionNetwork, FullyConnected, Mesh2D, Torus3D
+from repro.machines.specs import scaled_mesh, scaled_torus
+
+
+@dataclass
+class DictWalkNetwork(ContentionNetwork):
+    """The contention network with a per-channel dict walk over freshly
+    computed routes: the reference the path-cached transfer must agree
+    with bit for bit (``max`` over floats returns one of its operands
+    exactly, and the duration arithmetic is pure Python in both)."""
+
+    free_at: dict = field(default_factory=dict, repr=False)
+
+    def transfer(self, src, dst, nbytes, t_inject):
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
+        if src == dst:
+            return t_inject + nbytes / self.local_bytes_per_s
+        path = self.topology.route(src, dst)
+        t_start = t_inject
+        for channel in path:
+            t_start = max(t_start, self.free_at.get(channel, 0.0))
+        self.total_contention_s += t_start - t_inject
+        duration = self.latency_s + len(path) * self.per_hop_s + nbytes / self.bytes_per_s
+        if self.link_slowdown is not None:
+            duration *= self.link_slowdown(src, dst, t_start)
+        t_end = t_start + duration
+        for channel in path:
+            self.free_at[channel] = t_end
+        return t_end
 
 
 class TestMesh2D:
@@ -203,14 +234,12 @@ class TestRouteCache:
 
 class TestPathCachedTransfer:
     """The vectorized path-cache fast path must be bitwise-equivalent to
-    the retained per-channel dict walk (``use_path_cache=False``)."""
+    the per-channel dict walk of ``DictWalkNetwork``."""
 
     def make_pair(self, topology_factory):
         kw = dict(latency_s=1e-4, per_hop_s=1e-6, bytes_per_s=1e7)
         cached = ContentionNetwork(topology=topology_factory(), **kw)
-        reference = ContentionNetwork(
-            topology=topology_factory(), use_path_cache=False, **kw
-        )
+        reference = DictWalkNetwork(topology=topology_factory(), **kw)
         return cached, reference
 
     def test_bitwise_equivalent_to_uncached_reference(self):
@@ -267,3 +296,44 @@ class TestPathCachedTransfer:
         cached, _ = self.make_pair(lambda: Mesh2D(4, 4))
         cached.transfer(3, 3, 1000, 0.0)
         assert (cached.path_cache_hits, cached.path_cache_misses) == (0, 0)
+
+
+class TestScaledMesh:
+    def test_near_square_power_of_two_width(self):
+        machine = scaled_mesh(1024)
+        topo = machine.network.topology
+        assert (topo.width, topo.height) == (32, 32)
+        assert machine.name == "bigmesh-1024p-snake"
+
+    def test_non_square_counts_round_up(self):
+        machine = scaled_mesh(96, "naive")
+        topo = machine.network.topology
+        assert (topo.width, topo.height) == (16, 6)
+        assert machine.placement == list(range(96))
+
+    def test_snake_reverses_odd_rows(self):
+        assert scaled_mesh(8).placement == [0, 1, 2, 3, 7, 6, 5, 4]
+
+    def test_bad_nranks_raises(self):
+        with pytest.raises(ConfigurationError):
+            scaled_mesh(0)
+
+    def test_unknown_placement_raises(self):
+        with pytest.raises(ConfigurationError):
+            scaled_mesh(16, "hilbert")
+
+
+class TestScaledTorus:
+    def test_smallest_power_of_two_cube(self):
+        machine = scaled_torus(1000)
+        topo = machine.network.topology
+        assert (topo.nx, topo.ny, topo.nz) == (16, 16, 16)
+        assert machine.name == "bigtorus-1000p"
+
+    def test_small_counts_fit_small_cubes(self):
+        topo = scaled_torus(8).network.topology
+        assert (topo.nx, topo.ny, topo.nz) == (2, 2, 2)
+
+    def test_bad_nranks_raises(self):
+        with pytest.raises(ConfigurationError):
+            scaled_torus(0)

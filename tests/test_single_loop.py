@@ -34,7 +34,7 @@ from repro.wavelet.singleloop import (
 BANK_LENGTHS = (2, 4, 8)
 
 # Agreement bounds for unit-normal inputs: measured worst case is ~1e-11
-# (D8); these match the bench harness budgets.
+# (D8); these match the kernel-roundtrip benchmark's checks.
 FORWARD_TOL = 1e-9
 ROUND_TRIP_TOL = 1e-10
 
