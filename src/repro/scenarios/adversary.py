@@ -146,8 +146,10 @@ def _poison_value(obj, seed: int, parts: tuple, magnitude: float):
     if isinstance(obj, np.ndarray):
         if obj.size and np.issubdtype(obj.dtype, np.floating):
             out = np.array(obj, copy=True)
-            flat = out.reshape(-1)
-            idx = int(_hash01(seed, _D_POISON_IDX, *parts) * flat.size) % flat.size
+            # ``out.flat`` indexes in C order on any layout; a reshape of a
+            # non-C-contiguous copy would be a copy, dropping the poison.
+            flat = out.flat
+            idx = int(_hash01(seed, _D_POISON_IDX, *parts) * out.size) % out.size
             sign = 1.0 if _hash01(seed, _D_POISON_SIGN, *parts) < 0.5 else -1.0
             flat[idx] = flat[idx] + sign * magnitude * (abs(float(flat[idx])) + 1.0)
             return out, True

@@ -22,8 +22,6 @@ Parallel API (under :mod:`repro.wavelet.parallel`)
 from repro.wavelet.conv import (
     analyze_axis,
     analyze_axis_valid,
-    periodic_convolve,
-    periodic_correlate,
     synthesize_axis,
     synthesize_axis_valid,
 )
@@ -107,8 +105,6 @@ __all__ = [
     "analyze_axis_valid",
     "synthesize_axis",
     "synthesize_axis_valid",
-    "periodic_correlate",
-    "periodic_convolve",
     "Subbands2D",
     "mallat_step_2d",
     "mallat_inverse_step_2d",

@@ -12,11 +12,24 @@ Two primitives cover both directions of the transform:
   (the reconstruction mirror, Figure 2 of the paper).
 
 Both are vectorized over every other axis: the filter loop runs only over
-the (2-8) taps, so the inner work is pure NumPy slicing.  All periodized
-loops use a single periodic extension of the input and strided windows
-into it — never per-tap ``np.roll``, which would allocate a fresh
-full-size array per tap.  The windowed sums visit the same addends in the
-same order as the rolled formulation, so results are bit-identical.
+the (2-20) taps, and each tap is one multiply-add over a slice of the
+target axis taken where that axis lies, so a column pass (``axis=0``) of
+a C-ordered image adds whole contiguous rows and nothing is transposed.
+
+* A periodic wrap is a direct slice plus a wrapped slice: the outputs
+  whose window runs past the end read the front of the axis.  No
+  periodic extension of the input is built.
+* Synthesis is polyphase: output ``2q + p`` of the upsampled convolution
+  meets only taps ``k ≡ p (mod 2)``, because every other tap lands on a
+  zero-stuffed sample.  No zero-stuffed array is built, and those terms
+  are skipped.
+
+Skipping the zero terms is exact.  Every accumulator starts at +0.0, and
+a float sum that starts at +0.0 never becomes −0.0 (a zero sum of nonzero
+terms rounds to +0.0), so adding a ±0.0 product never changes it.  Each
+output element therefore gets the same products, in the same tap order,
+as the textbook rolled or zero-stuffed formulation, and for finite input
+the results are bit-identical to it.  Outputs are C-ordered.
 """
 
 from __future__ import annotations
@@ -25,13 +38,16 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+try:
+    from numpy.lib.array_utils import normalize_axis_index
+except ImportError:  # numpy < 2.0
+    from numpy.core.multiarray import normalize_axis_index
+
 __all__ = [
     "analyze_axis",
     "analyze_axis_valid",
     "synthesize_axis",
     "synthesize_axis_valid",
-    "periodic_correlate",
-    "periodic_convolve",
 ]
 
 
@@ -44,6 +60,16 @@ def _as_f64(arr) -> np.ndarray:
     return np.asarray(arr, dtype=np.float64)
 
 
+def _along(arr: np.ndarray, axis: int, start, stop, step: int = 1) -> np.ndarray:
+    """The view ``arr[..., start:stop:step, ...]`` with the slice on
+    ``axis`` (non-negative) and every other axis whole."""
+    return arr[(slice(None),) * axis + (slice(start, stop, step),)]
+
+
+def _resized(shape: tuple, axis: int, length: int) -> tuple:
+    return shape[:axis] + (length,) + shape[axis + 1 :]
+
+
 def _validate_axis_length(n: int, taps: int) -> None:
     if n % 2 != 0:
         raise ConfigurationError(f"axis length must be even for decimation, got {n}")
@@ -54,25 +80,7 @@ def _validate_axis_length(n: int, taps: int) -> None:
         )
 
 
-def _prepare_out(out, axis: int, shape: tuple) -> np.ndarray:
-    """Validate a preallocated output buffer and return it as a zeroed
-    view with the work axis last (accumulation happens in place, so the
-    caller's buffer receives the result)."""
-    if type(out) is not np.ndarray or out.dtype != np.float64:
-        raise ConfigurationError("out= must be a float64 ndarray")
-    moved = np.moveaxis(out, axis, -1)
-    if moved.shape != shape:
-        raise ConfigurationError(
-            f"out= has shape {out.shape}, which does not match the result "
-            f"(expected {shape} with the work axis moved last)"
-        )
-    moved[...] = 0.0
-    return moved
-
-
-def analyze_axis(
-    data: np.ndarray, taps: np.ndarray, axis: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def analyze_axis(data: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     """Periodized correlation with ``taps`` followed by decimation by 2.
 
     Computes ``out[n] = sum_k taps[k] * data[(2n + k) mod N]`` along the
@@ -86,27 +94,26 @@ def analyze_axis(
         1-D filter coefficients.
     axis:
         Axis to filter and decimate.
-    out:
-        Optional preallocated float64 buffer of the result shape; reused
-        as the accumulator (scratch reuse across pyramid levels).
     """
     taps = _as_f64(taps)
     data = _as_f64(data)
-    moved = np.moveaxis(data, axis, -1)
-    n = moved.shape[-1]
+    axis = normalize_axis_index(axis, data.ndim)
+    n = data.shape[axis]
     m = taps.size
     _validate_axis_length(n, m)
 
-    # Extend periodically by m-1 samples so windows never wrap mid-slice.
-    extended = np.concatenate([moved, moved[..., : m - 1]], axis=-1)
-    result_shape = moved.shape[:-1] + (n // 2,)
-    if out is None:
-        acc = np.zeros(result_shape, dtype=np.float64)
-    else:
-        acc = _prepare_out(out, axis, result_shape)
+    half = n // 2
+    acc = np.zeros(_resized(data.shape, axis, half), dtype=np.float64)
     for k in range(m):
-        acc += taps[k] * extended[..., k : k + n : 2]
-    return np.moveaxis(acc, -1, axis) if out is None else out
+        # Outputs [0, direct) read data[2q + k]; the rest wrap to
+        # data[2q + k - n], the same-parity samples below k.
+        direct = (n - k + 1) // 2
+        head = _along(acc, axis, 0, direct)
+        head += taps[k] * _along(data, axis, k, n, 2)
+        if direct < half:
+            tail = _along(acc, axis, direct, half)
+            tail += taps[k] * _along(data, axis, k % 2, k, 2)
+    return acc
 
 
 def analyze_axis_valid(
@@ -123,8 +130,8 @@ def analyze_axis_valid(
     """
     taps = _as_f64(taps)
     data = _as_f64(data)
-    moved = np.moveaxis(data, axis, -1)
-    n = moved.shape[-1]
+    axis = normalize_axis_index(axis, data.ndim)
+    n = data.shape[axis]
     m = taps.size
     if out_len < 0:
         raise ConfigurationError(f"out_len must be >= 0, got {out_len}")
@@ -134,15 +141,13 @@ def analyze_axis_valid(
             f"valid-mode analysis needs {needed} input samples for "
             f"out_len={out_len} with {m} taps, got {n}"
         )
-    out = np.zeros(moved.shape[:-1] + (out_len,), dtype=np.float64)
+    out = np.zeros(_resized(data.shape, axis, out_len), dtype=np.float64)
     for k in range(m):
-        out += taps[k] * moved[..., k : k + 2 * out_len : 2]
-    return np.moveaxis(out, -1, axis)
+        out += taps[k] * _along(data, axis, k, k + 2 * out_len, 2)
+    return out
 
 
-def synthesize_axis(
-    data: np.ndarray, taps: np.ndarray, axis: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def synthesize_axis(data: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     """Upsample by 2 then periodically convolve with ``taps`` (adjoint of
     :func:`analyze_axis`).
 
@@ -152,28 +157,24 @@ def synthesize_axis(
     """
     taps = _as_f64(taps)
     data = _as_f64(data)
-    moved = np.moveaxis(data, axis, -1)
-    half = moved.shape[-1]
+    axis = normalize_axis_index(axis, data.ndim)
+    half = data.shape[axis]
     n = half * 2
     m = taps.size
     _validate_axis_length(n, m)
 
-    upsampled = np.zeros(moved.shape[:-1] + (n,), dtype=np.float64)
-    upsampled[..., ::2] = moved
-    # Window k of the extension equals roll(upsampled, k): extend the
-    # front by the m-1 tail samples, then slide backwards from there.
-    if m > 1:
-        extended = np.concatenate([upsampled[..., n - (m - 1) :], upsampled], axis=-1)
-    else:
-        extended = upsampled
-    if out is None:
-        acc = np.zeros(moved.shape[:-1] + (n,), dtype=np.float64)
-    else:
-        acc = _prepare_out(out, axis, moved.shape[:-1] + (n,))
+    out = np.zeros(_resized(data.shape, axis, n), dtype=np.float64)
     for k in range(m):
-        start = m - 1 - k
-        acc += taps[k] * extended[..., start : start + n]
-    return np.moveaxis(acc, -1, axis) if out is None else out
+        # Tap k = p + 2s adds taps[k] * data[(q - s) mod half] to output
+        # 2q + p: directly for q >= s, wrapped from the end for q < s.
+        s = k // 2
+        phase = _along(out, axis, k % 2, n, 2)
+        head = _along(phase, axis, s, half)
+        head += taps[k] * _along(data, axis, 0, half - s)
+        if s:
+            tail = _along(phase, axis, 0, s)
+            tail += taps[k] * _along(data, axis, half - s, half)
+    return out
 
 
 def synthesize_axis_valid(
@@ -194,12 +195,14 @@ def synthesize_axis_valid(
     reproduces the sequential inverse transform exactly.
 
     Requires ``lead >= (len(taps) - 1) // 2`` and enough trailing samples
-    (``out_len <= 2 * (data_len - lead)``).
+    (``out_len <= 2 * (data_len - lead)``).  At that minimum guard the
+    deepest tap of an even-length filter reaches one sample before
+    ``data``, but only ever a zero-stuffed one.
     """
     taps = _as_f64(taps)
     data = _as_f64(data)
-    moved = np.moveaxis(data, axis, -1)
-    length = moved.shape[-1]
+    axis = normalize_axis_index(axis, data.ndim)
+    length = data.shape[axis]
     m = taps.size
     if out_len < 0:
         raise ConfigurationError(f"out_len must be >= 0, got {out_len}")
@@ -213,59 +216,11 @@ def synthesize_axis_valid(
             f"valid-mode synthesis has only {2 * (length - lead)} producible "
             f"outputs, asked for {out_len}"
         )
-    upsampled = np.zeros(moved.shape[:-1] + (2 * length,), dtype=np.float64)
-    upsampled[..., ::2] = moved
-    out = np.zeros(moved.shape[:-1] + (out_len,), dtype=np.float64)
-    base = 2 * lead
+    out = np.zeros(_resized(data.shape, axis, out_len), dtype=np.float64)
     for k in range(m):
-        start = base - k
-        out += taps[k] * upsampled[..., start : start + out_len]
-    return np.moveaxis(out, -1, axis)
-
-
-def periodic_correlate(data: np.ndarray, taps: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Full-rate periodized correlation (no decimation).
-
-    ``out[n] = sum_k taps[k] * data[(n + k) mod N]``.  Used by the SIMD
-    systolic algorithm, which filters at full rate and decimates as a
-    separate routing step.
-    """
-    taps = _as_f64(taps)
-    data = _as_f64(data)
-    moved = np.moveaxis(data, axis, -1)
-    n = moved.shape[-1]
-    m = taps.size
-    if n < m:
-        raise ConfigurationError(
-            f"axis length {n} is shorter than the filter ({m} taps)"
-        )
-    if m > 1:
-        extended = np.concatenate([moved, moved[..., : m - 1]], axis=-1)
-    else:
-        extended = moved
-    out = np.zeros_like(moved)
-    for k in range(m):
-        out += taps[k] * extended[..., k : k + n]
-    return np.moveaxis(out, -1, axis)
-
-
-def periodic_convolve(data: np.ndarray, taps: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Full-rate periodized convolution ``out[n] = sum_k taps[k] * data[(n - k) mod N]``."""
-    taps = _as_f64(taps)
-    data = _as_f64(data)
-    moved = np.moveaxis(data, axis, -1)
-    n = moved.shape[-1]
-    m = taps.size
-    if n < m:
-        raise ConfigurationError(
-            f"axis length {n} is shorter than the filter ({m} taps)"
-        )
-    if m > 1:
-        extended = np.concatenate([moved[..., n - (m - 1) :], moved], axis=-1)
-    else:
-        extended = moved
-    out = np.zeros_like(moved)
-    for k in range(m):
-        start = m - 1 - k
-        out += taps[k] * extended[..., start : start + n]
-    return np.moveaxis(out, -1, axis)
+        # Tap k = p + 2s meets data[lead + q - s] at output 2q + p.
+        p = k % 2
+        start = lead - k // 2
+        phase = _along(out, axis, p, out_len, 2)
+        phase += taps[k] * _along(data, axis, start, start + (out_len - p + 1) // 2)
+    return out

@@ -121,7 +121,9 @@ def denoise_2d(
         sigma = estimate_noise_sigma(pyramid.details[0].hh)
 
         def band_threshold(band: np.ndarray) -> float:
-            signal_var = max(float(band.var()) - sigma**2, 0.0)
+            # var() sums in memory order, so fix the order (column-major)
+            # to keep the threshold's bits independent of band layout.
+            signal_var = max(float(np.asfortranarray(band).var()) - sigma**2, 0.0)
             if signal_var == 0.0:
                 return float(np.abs(band).max())  # pure noise: kill the band
             return sigma**2 / np.sqrt(signal_var)

@@ -22,11 +22,19 @@ primitives on a fixed random vector before it is cached; the observed
 error is recorded on the scheme (``verify_error``) and documented bounds
 are enforced (:data:`VERIFY_TOLERANCE`).
 
-Periodized application uses a single periodic extension per step (no
-``np.roll``); valid-mode application tracks the exact interval of valid
-lane samples through every step and raises when the caller's guard
-margins are insufficient — the SPMD programs size their guard exchanges
-from :meth:`LiftingScheme.analysis_margins` /
+Every pass slices the target axis where it lies, as the convolution
+primitives do: the lanes are the even and odd samples of that axis, and
+a column pass (``axis=0``) updates whole contiguous rows, with nothing
+transposed.  A periodized step splits each tap into a direct slice and a
+wrapped slice (the samples past the end of the lane come from its
+front), so no periodic extension of a lane is built.  The same step
+primitives (:func:`_circular_step`, :func:`_circular_shift`,
+:func:`_valid_step`) drive the separable passes here, the strip-fused
+kernel and the single-loop sweep of :mod:`repro.wavelet.singleloop`.
+Valid-mode application tracks the exact interval of valid lane samples
+through every step and raises when the caller's guard margins are
+insufficient — the SPMD programs size their guard exchanges from
+:meth:`LiftingScheme.analysis_margins` /
 :meth:`LiftingScheme.synthesis_margins`.
 """
 
@@ -38,6 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.wavelet.conv import _along, _resized, normalize_axis_index
 from repro.wavelet.filters import FilterBank
 
 __all__ = [
@@ -390,48 +399,46 @@ def lifting_scheme(bank: FilterBank) -> LiftingScheme:
 # --------------------------------------------------------------------------
 
 
-def _circular_step(target: np.ndarray, source: np.ndarray, step: LiftingStep, sign: float) -> None:
+def _circular_step(
+    target: np.ndarray, source: np.ndarray, step: LiftingStep, sign: float, axis: int
+) -> None:
     """``target[n] += sign * sum_j c[j] * source[(n + dmin + j) mod N]``
-    via one periodic extension of ``source`` and strided slices."""
-    n = source.shape[-1]
-    taps = len(step.coeffs)
+    along ``axis``, splitting each tap into its direct and wrapped slice
+    (no periodic-extension copy of the lane)."""
+    n = source.shape[axis]
     lo = step.dmin
-    hi = step.dmin + taps - 1
-    pre = max(0, -lo)
-    post = max(0, hi)
-    if pre > n or post > n:
+    hi = lo + len(step.coeffs) - 1
+    if max(0, -lo) > n or max(0, hi) > n:
         raise ConfigurationError(
             f"axis of {n} lane samples too short for a lifting step reaching "
             f"[{lo}, {hi}] (would wrap more than once)"
         )
-    if pre or post:
-        parts = []
-        if pre:
-            parts.append(source[..., n - pre :])
-        parts.append(source)
-        if post:
-            parts.append(source[..., :post])
-        extended = np.concatenate(parts, axis=-1)
-    else:
-        extended = source
     for j, c in enumerate(step.coeffs):
-        offset = pre + lo + j
-        target += (sign * c) * extended[..., offset : offset + n]
+        k = (lo + j) % n
+        sc = sign * c
+        if k == 0:
+            target += sc * source
+        else:
+            head = _along(target, axis, 0, n - k)
+            head += sc * _along(source, axis, k, n)
+            tail = _along(target, axis, n - k, n)
+            tail += sc * _along(source, axis, 0, k)
 
 
-def _circular_shift(arr: np.ndarray, k: int) -> np.ndarray:
-    """Left-rotate the last axis by ``k`` (``out[n] = arr[(n + k) mod N]``)."""
-    n = arr.shape[-1]
+def _circular_shift(arr: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """Left-rotate ``axis`` by ``k`` (``out[n] = arr[(n + k) mod N]``)."""
+    n = arr.shape[axis]
     k %= n
     if k == 0:
         return arr
-    return np.concatenate([arr[..., k:], arr[..., :k]], axis=-1)
+    return np.concatenate([_along(arr, axis, k, n), _along(arr, axis, 0, k)], axis=axis)
 
 
-def _split_lanes(moved: np.ndarray):
-    xe = np.ascontiguousarray(moved[..., 0::2])
-    xo = np.ascontiguousarray(moved[..., 1::2])
-    return xe, xo
+def _split_lanes(data: np.ndarray, axis: int):
+    """Copy the even and odd polyphase lanes of ``axis`` out of ``data``
+    (always a copy: a one-sample lane is a contiguous view, and the steps
+    update lanes in place)."""
+    return _along(data, axis, 0, None, 2).copy(), _along(data, axis, 1, None, 2).copy()
 
 
 def lifting_analyze_axis(data: np.ndarray, scheme: LiftingScheme, axis: int):
@@ -442,8 +449,8 @@ def lifting_analyze_axis(data: np.ndarray, scheme: LiftingScheme, axis: int):
     lowpass/highpass taps (see :data:`VERIFY_TOLERANCE`).
     """
     data = np.asarray(data, dtype=np.float64)
-    moved = np.moveaxis(data, axis, -1)
-    n = moved.shape[-1]
+    axis = normalize_axis_index(axis, data.ndim)
+    n = data.shape[axis]
     if n % 2 != 0:
         raise ConfigurationError(f"axis length must be even for decimation, got {n}")
     if n < scheme.filter_length:
@@ -452,14 +459,16 @@ def lifting_analyze_axis(data: np.ndarray, scheme: LiftingScheme, axis: int):
             f"({scheme.filter_length} taps); periodized filtering would "
             "wrap more than once"
         )
-    xe, xo = _split_lanes(moved)
+    xe, xo = _split_lanes(data, axis)
     lanes = {"e": xe, "o": xo}
     for step in scheme.steps:
         other = "o" if step.target == "e" else "e"
-        _circular_step(lanes[step.target], lanes[other], step, 1.0)
-    approx = scheme.low_scale * _circular_shift(lanes[scheme.low_lane], scheme.low_shift)
-    detail = scheme.high_scale * _circular_shift(lanes[scheme.high_lane], scheme.high_shift)
-    return np.moveaxis(approx, -1, axis), np.moveaxis(detail, -1, axis)
+        _circular_step(lanes[step.target], lanes[other], step, 1.0, axis)
+    approx = scheme.low_scale * _circular_shift(lanes[scheme.low_lane], scheme.low_shift, axis)
+    detail = scheme.high_scale * _circular_shift(
+        lanes[scheme.high_lane], scheme.high_shift, axis
+    )
+    return approx, detail
 
 
 def lifting_synthesize_axis(
@@ -474,18 +483,21 @@ def lifting_synthesize_axis(
         raise ConfigurationError(
             f"approx shape {approx.shape} does not match detail shape {detail.shape}"
         )
-    a = np.moveaxis(approx, axis, -1)
-    d = np.moveaxis(detail, axis, -1)
+    axis = normalize_axis_index(axis, approx.ndim)
     lanes = {}
-    lanes[scheme.low_lane] = _circular_shift(a * (1.0 / scheme.low_scale), -scheme.low_shift)
-    lanes[scheme.high_lane] = _circular_shift(d * (1.0 / scheme.high_scale), -scheme.high_shift)
+    lanes[scheme.low_lane] = _circular_shift(
+        approx * (1.0 / scheme.low_scale), -scheme.low_shift, axis
+    )
+    lanes[scheme.high_lane] = _circular_shift(
+        detail * (1.0 / scheme.high_scale), -scheme.high_shift, axis
+    )
     for step in reversed(scheme.steps):
         other = "o" if step.target == "e" else "e"
-        _circular_step(lanes[step.target], lanes[other], step, -1.0)
-    out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=np.float64)
-    out[..., 0::2] = lanes["e"]
-    out[..., 1::2] = lanes["o"]
-    return np.moveaxis(out, -1, axis)
+        _circular_step(lanes[step.target], lanes[other], step, -1.0, axis)
+    out = np.empty(_resized(approx.shape, axis, 2 * approx.shape[axis]), dtype=np.float64)
+    _along(out, axis, 0, None, 2)[...] = lanes["e"]
+    _along(out, axis, 1, None, 2)[...] = lanes["o"]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -493,25 +505,26 @@ def lifting_synthesize_axis(
 # --------------------------------------------------------------------------
 
 
-def _valid_step(target, source, step, t_valid, s_valid, sign):
-    """Apply a lifting step where source samples exist; intersect validity.
+def _valid_step(target, source, step, t_valid, s_valid, sign, axis):
+    """Apply a lifting step along ``axis`` where source samples exist;
+    intersect validity.
 
     ``t_valid``/``s_valid`` are half-open index intervals of lane samples
     that are correct; returns the target's new valid interval.  Samples the
     step cannot compute (missing source neighbors) are left untouched and
     drop out of the valid interval.
     """
-    n_target = target.shape[-1]
-    n_source = source.shape[-1]
+    n_target = target.shape[axis]
+    n_source = source.shape[axis]
     lo = step.dmin
     hi = step.dmin + len(step.coeffs) - 1
     a = max(0, -lo)
     b = min(n_target, n_source - hi)
     if b > a:
-        acc = target[..., a:b]
+        acc = _along(target, axis, a, b)
         for j, c in enumerate(step.coeffs):
             s0 = a + lo + j
-            acc += (sign * c) * source[..., s0 : s0 + (b - a)]
+            acc += (sign * c) * _along(source, axis, s0, s0 + (b - a))
     new_lo = max(t_valid[0], s_valid[0] - lo, a)
     new_hi = min(t_valid[1], s_valid[1] - hi, b)
     return (new_lo, new_hi)
@@ -535,20 +548,20 @@ def lifting_analyze_axis_valid(
         raise ConfigurationError(f"out_len must be >= 0, got {out_len}")
     if lead < 0 or lead % 2 != 0:
         raise ConfigurationError(f"lead must be even and >= 0, got {lead}")
-    moved = np.moveaxis(data, axis, -1)
-    if moved.shape[-1] % 2 != 0:
+    axis = normalize_axis_index(axis, data.ndim)
+    if data.shape[axis] % 2 != 0:
         # An odd sample count would misalign the even/odd lanes; callers
         # extend with whole neighbor sample pairs.
         raise ConfigurationError(
-            f"valid-mode lifting needs an even segment length, got {moved.shape[-1]}"
+            f"valid-mode lifting needs an even segment length, got {data.shape[axis]}"
         )
-    xe, xo = _split_lanes(moved)
-    valid = {"e": (0, xe.shape[-1]), "o": (0, xo.shape[-1])}
+    xe, xo = _split_lanes(data, axis)
+    valid = {"e": (0, xe.shape[axis]), "o": (0, xo.shape[axis])}
     lanes = {"e": xe, "o": xo}
     for step in scheme.steps:
         other = "o" if step.target == "e" else "e"
         valid[step.target] = _valid_step(
-            lanes[step.target], lanes[other], step, valid[step.target], valid[other], 1.0
+            lanes[step.target], lanes[other], step, valid[step.target], valid[other], 1.0, axis
         )
     outputs = []
     for lane, scale, shift in (
@@ -563,11 +576,8 @@ def lifting_analyze_axis_valid(
                 f"lane[{start}:{start + out_len}] valid, have [{v_lo}:{v_hi}) "
                 f"(see LiftingScheme.analysis_margins)"
             )
-        outputs.append(scale * lanes[lane][..., start : start + out_len])
-    return (
-        np.moveaxis(outputs[0], -1, axis),
-        np.moveaxis(outputs[1], -1, axis),
-    )
+        outputs.append(scale * _along(lanes[lane], axis, start, start + out_len))
+    return outputs[0], outputs[1]
 
 
 def lifting_synthesize_axis_valid(
@@ -597,29 +607,28 @@ def lifting_synthesize_axis_valid(
         raise ConfigurationError(f"out_len must be >= 0, got {out_len}")
     if lead < 0:
         raise ConfigurationError(f"lead must be >= 0, got {lead}")
-    a = np.moveaxis(approx, axis, -1)
-    d = np.moveaxis(detail, axis, -1)
-    n = a.shape[-1]
+    axis = normalize_axis_index(axis, approx.ndim)
+    n = approx.shape[axis]
     lanes = {}
     valid = {}
     for (lane, scale, shift), segment in (
-        ((scheme.low_lane, scheme.low_scale, scheme.low_shift), a),
-        ((scheme.high_lane, scheme.high_scale, scheme.high_shift), d),
+        ((scheme.low_lane, scheme.low_scale, scheme.low_shift), approx),
+        ((scheme.high_lane, scheme.high_scale, scheme.high_shift), detail),
     ):
         # lane[i] = segment[i - shift] / scale where defined.
-        arr = np.zeros_like(segment)
+        arr = np.zeros(segment.shape, dtype=np.float64)
         if shift >= 0:
-            arr[..., shift:] = segment[..., : n - shift] if shift else segment
+            _along(arr, axis, shift, None)[...] = _along(segment, axis, 0, n - shift)
             valid[lane] = (shift, n)
         else:
-            arr[..., : n + shift] = segment[..., -shift:]
+            _along(arr, axis, 0, n + shift)[...] = _along(segment, axis, -shift, None)
             valid[lane] = (0, n + shift)
         arr *= 1.0 / scale
         lanes[lane] = arr
     for step in reversed(scheme.steps):
         other = "o" if step.target == "e" else "e"
         valid[step.target] = _valid_step(
-            lanes[step.target], lanes[other], step, valid[step.target], valid[other], -1.0
+            lanes[step.target], lanes[other], step, valid[step.target], valid[other], -1.0, axis
         )
     even_lo, even_hi = lead, lead + (out_len + 1) // 2
     odd_lo, odd_hi = lead, lead + out_len // 2
@@ -634,10 +643,10 @@ def lifting_synthesize_axis_valid(
             f"e[{even_lo}:{even_hi}) o[{odd_lo}:{odd_hi}), have "
             f"e{valid['e']} o{valid['o']} (see LiftingScheme.synthesis_margins)"
         )
-    out = np.empty(a.shape[:-1] + (out_len,), dtype=np.float64)
-    out[..., 0::2] = lanes["e"][..., even_lo:even_hi]
-    out[..., 1::2] = lanes["o"][..., odd_lo:odd_hi]
-    return np.moveaxis(out, -1, axis)
+    out = np.empty(_resized(approx.shape, axis, out_len), dtype=np.float64)
+    _along(out, axis, 0, None, 2)[...] = _along(lanes["e"], axis, even_lo, even_hi)
+    _along(out, axis, 1, None, 2)[...] = _along(lanes["o"], axis, odd_lo, odd_hi)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 Wavelet Schemes for Images", PAPERS.md).
 
 The separable lifting kernels run a full row pass and then a full column
-pass per level, materializing half-band intermediates and (for the
-column pass) paying transposed copies.  The single-loop scheme instead
-splits the image *once* into its four polyphase lanes
+pass per level, materializing half-band intermediates.  The single-loop
+scheme instead splits the image *once* into its four polyphase lanes
 
     ``lane[(r, c)] = image[r::2, c::2]``    (r, c in {even, odd})
 
@@ -22,7 +21,9 @@ The diagonal output scaling is deferred and fused: each subband is one
 multiply by the *product* of the two axes' scales, applied during lane
 extraction (the separable form scales twice, once per pass).
 
-Two boundary modes mirror :mod:`repro.wavelet.lifting`:
+Two boundary modes mirror :mod:`repro.wavelet.lifting`, whose step
+primitives the sweep calls with ``axis=1`` (horizontal) or ``axis=0``
+(vertical):
 
 * periodized (:func:`single_loop_analyze_2d` /
   :func:`single_loop_synthesize_2d`) — the sequential kernel;
@@ -40,7 +41,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.wavelet.lifting import LiftingScheme, LiftingStep
+from repro.wavelet.lifting import (
+    LiftingScheme,
+    _circular_shift,
+    _circular_step,
+    _valid_step,
+)
 
 __all__ = [
     "single_loop_analyze_2d",
@@ -52,69 +58,12 @@ _PARITIES = ("e", "o")
 _OFFSET = {"e": 0, "o": 1}
 
 
-def _axis_slice(arr: np.ndarray, a: int, b: int, axis: int) -> np.ndarray:
-    return arr[a:b] if axis == 0 else arr[:, a:b]
-
-
-def _circ_step_2d(
-    target: np.ndarray, source: np.ndarray, step: LiftingStep, sign: float, axis: int
-) -> None:
-    """``target[n] += sign * sum_j c[j] * source[(n + dmin + j) mod N]``
-    along ``axis``, splitting each tap into its direct and wrapped slice
-    (no periodic-extension copy of the lane)."""
-    n = source.shape[axis]
-    lo = step.dmin
-    hi = lo + len(step.coeffs) - 1
-    if max(0, -lo) > n or max(0, hi) > n:
-        raise ConfigurationError(
-            f"axis of {n} lane samples too short for a lifting step reaching "
-            f"[{lo}, {hi}] (would wrap more than once)"
-        )
-    for j, c in enumerate(step.coeffs):
-        k = (lo + j) % n
-        sc = sign * c
-        if k == 0:
-            target += sc * source
-        else:
-            head = _axis_slice(target, 0, n - k, axis)
-            head += sc * _axis_slice(source, k, n, axis)
-            tail = _axis_slice(target, n - k, n, axis)
-            tail += sc * _axis_slice(source, 0, k, axis)
-
-
-def _circ_shift_2d(arr: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """Left-rotate ``axis`` by ``k`` (``out[n] = arr[(n + k) mod N]``)."""
-    n = arr.shape[axis]
-    k %= n
-    if k == 0:
-        return arr
-    return np.concatenate(
-        [_axis_slice(arr, k, n, axis), _axis_slice(arr, 0, k, axis)], axis=axis
-    )
-
-
-def _valid_step_2d(target, source, step, t_valid, s_valid, sign, axis):
-    """Axis-generic :func:`repro.wavelet.lifting._valid_step`: apply the
-    step where source samples exist along ``axis`` and return the
-    target's new valid interval on that axis."""
-    n_target = target.shape[axis]
-    n_source = source.shape[axis]
-    lo = step.dmin
-    hi = lo + len(step.coeffs) - 1
-    a = max(0, -lo)
-    b = min(n_target, n_source - hi)
-    if b > a:
-        acc = _axis_slice(target, a, b, axis)
-        for j, c in enumerate(step.coeffs):
-            s0 = a + lo + j
-            acc += (sign * c) * _axis_slice(source, s0, s0 + (b - a), axis)
-    return (max(t_valid[0], s_valid[0] - lo, a), min(t_valid[1], s_valid[1] - hi, b))
-
-
 def _split_quads(image: np.ndarray) -> dict:
-    """Copy the four polyphase lanes out of an even-sided image."""
+    """Copy the four polyphase lanes out of an even-sided image (always a
+    copy: a 1x1 lane is a contiguous view, and the steps update lanes in
+    place)."""
     return {
-        (r, c): np.ascontiguousarray(image[_OFFSET[r] :: 2, _OFFSET[c] :: 2])
+        (r, c): image[_OFFSET[r] :: 2, _OFFSET[c] :: 2].copy()
         for r in _PARITIES
         for c in _PARITIES
     }
@@ -156,13 +105,13 @@ def single_loop_analyze_2d(image: np.ndarray, scheme: LiftingScheme):
     for step in scheme.steps:
         other = "o" if step.target == "e" else "e"
         for r in _PARITIES:
-            _circ_step_2d(lanes[(r, step.target)], lanes[(r, other)], step, 1.0, 1)
+            _circular_step(lanes[(r, step.target)], lanes[(r, other)], step, 1.0, 1)
         for c in _PARITIES:
-            _circ_step_2d(lanes[(step.target, c)], lanes[(other, c)], step, 1.0, 0)
+            _circular_step(lanes[(step.target, c)], lanes[(other, c)], step, 1.0, 0)
     bands = []
     for v, h in _band_specs(scheme):
         lane = lanes[(v[0], h[0])]
-        shifted = _circ_shift_2d(_circ_shift_2d(lane, v[2], 0), h[2], 1)
+        shifted = _circular_shift(_circular_shift(lane, v[2], 0), h[2], 1)
         bands.append((v[1] * h[1]) * shifted)
     return tuple(bands)
 
@@ -181,14 +130,14 @@ def single_loop_synthesize_2d(ll, lh, hl, hh, scheme: LiftingScheme) -> np.ndarr
     lanes = {}
     for band, (v, h) in zip(bands, _band_specs(scheme)):
         lane = band * (1.0 / (v[1] * h[1]))
-        lane = _circ_shift_2d(_circ_shift_2d(lane, -v[2], 0), -h[2], 1)
+        lane = _circular_shift(_circular_shift(lane, -v[2], 0), -h[2], 1)
         lanes[(v[0], h[0])] = np.ascontiguousarray(lane)
     for step in reversed(scheme.steps):
         other = "o" if step.target == "e" else "e"
         for c in _PARITIES:
-            _circ_step_2d(lanes[(step.target, c)], lanes[(other, c)], step, -1.0, 0)
+            _circular_step(lanes[(step.target, c)], lanes[(other, c)], step, -1.0, 0)
         for r in _PARITIES:
-            _circ_step_2d(lanes[(r, step.target)], lanes[(r, other)], step, -1.0, 1)
+            _circular_step(lanes[(r, step.target)], lanes[(r, other)], step, -1.0, 1)
     out = np.empty((2 * shape[0], 2 * shape[1]), dtype=np.float64)
     for r in _PARITIES:
         for c in _PARITIES:
@@ -243,9 +192,9 @@ def single_loop_analyze_valid(
         for r in _PARITIES:
             t, s = (r, step.target), (r, other)
             if periodic_cols:
-                _circ_step_2d(lanes[t], lanes[s], step, 1.0, 1)
+                _circular_step(lanes[t], lanes[s], step, 1.0, 1)
             else:
-                col_valid[t] = _valid_step_2d(
+                col_valid[t] = _valid_step(
                     lanes[t], lanes[s], step, col_valid[t], col_valid[s], 1.0, 1
                 )
             # Rows where the source lane is stale poison the target rows.
@@ -255,7 +204,7 @@ def single_loop_analyze_valid(
             )
         for c in _PARITIES:
             t, s = (step.target, c), (other, c)
-            row_valid[t] = _valid_step_2d(
+            row_valid[t] = _valid_step(
                 lanes[t], lanes[s], step, row_valid[t], row_valid[s], 1.0, 0
             )
             col_valid[t] = (
@@ -280,7 +229,7 @@ def single_loop_analyze_valid(
                     f"periodic columns own the whole axis: expected "
                     f"out_cols == {lane.shape[1]}, got {out_cols}"
                 )
-            seg = _circ_shift_2d(lane[r0 : r0 + out_rows], h[2], 1)
+            seg = _circular_shift(lane[r0 : r0 + out_rows], h[2], 1)
         else:
             c0 = lead_cols // 2 + h[2]
             c_lo, c_hi = col_valid[key]

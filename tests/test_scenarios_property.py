@@ -14,6 +14,7 @@ Two invariants make adversarial runs replayable and composable:
   fault plan's, and the delegation is exact.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro.machines.faults import FaultConfig, FaultPlan
 from repro.machines.tags import COLLECTIVE_TAG_BASE
 from repro.scenarios import AdversaryConfig, AdversaryPlan
+from repro.scenarios.adversary import _poison_value
 
 #: Behaviors whose intercept decisions the interleaving property covers
 #: ("cartel" attacks compute time through straggler_factor, not sends).
@@ -182,3 +184,22 @@ def test_without_crash_restarts_from_ordinal_zero():
     assert repaired.intercept_send(1, 0, 11, 2.5, 0.0) == first
     # ...while the attack counters survive the restart (shared stats).
     assert repaired.stats is plan.stats
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_poison_lands_on_any_memory_layout(seed):
+    base = np.arange(1.0, 25.0).reshape(4, 6)
+    layouts = {
+        "C": base.copy(),
+        "F": np.asfortranarray(base),
+        "strided": np.repeat(base, 2, axis=1)[:, ::2],
+    }
+    changed_at = {}
+    for name, payload in layouts.items():
+        poisoned, changed = _poison_value(payload, seed, (0,), 0.5)
+        assert changed
+        assert np.array_equal(payload, base)  # the sender's copy is untouched
+        changed_at[name] = [tuple(i) for i in np.argwhere(poisoned != base)]
+    assert len(changed_at["C"]) == 1
+    assert changed_at["F"] == changed_at["strided"] == changed_at["C"]

@@ -148,6 +148,13 @@ class TestSequentialEquivalence:
         with pytest.raises(ConfigurationError):
             single_loop_analyze_2d(np.zeros((4, 32)), scheme)
 
+    def test_one_pixel_lanes_leave_the_input_untouched(self):
+        # The four lanes of a 2x2 image are contiguous views of it; the
+        # in-place steps must run on copies.
+        image = np.ones((2, 2))
+        single_loop_analyze_2d(image, lifting_scheme(filter_bank_for_length(2)))
+        assert (image == 1.0).all()
+
 
 # -- valid-mode sweep -------------------------------------------------------
 

@@ -7,8 +7,6 @@ from repro.errors import ConfigurationError
 from repro.wavelet.conv import (
     analyze_axis,
     analyze_axis_valid,
-    periodic_convolve,
-    periodic_correlate,
     synthesize_axis,
 )
 
@@ -125,35 +123,3 @@ class TestSynthesizeAxis:
         lhs = analyze_axis(x, taps, 0) @ y
         rhs = x @ synthesize_axis(y, taps, 0)
         assert lhs == pytest.approx(rhs)
-
-
-class TestFullRatePrimitives:
-    def test_correlate_impulse_extracts_taps(self):
-        taps = np.array([1.0, 2.0, 3.0])
-        x = np.zeros(8)
-        x[0] = 1.0
-        out = periodic_correlate(x, taps, 0)
-        # out[n] = taps at position -n mod 8 -> taps appear reversed at end.
-        np.testing.assert_allclose(out[:1], [1.0])
-        np.testing.assert_allclose(out[-2:], [3.0, 2.0])
-
-    def test_convolve_impulse_reproduces_taps(self):
-        taps = np.array([1.0, 2.0, 3.0])
-        x = np.zeros(8)
-        x[0] = 1.0
-        out = periodic_convolve(x, taps, 0)
-        np.testing.assert_allclose(out[:3], taps)
-
-    def test_correlate_then_decimate_equals_analyze(self):
-        rng = np.random.default_rng(7)
-        x = rng.random(16)
-        taps = rng.random(4)
-        np.testing.assert_allclose(
-            periodic_correlate(x, taps, 0)[::2], analyze_axis(x, taps, 0)
-        )
-
-    def test_short_axis_raises(self):
-        with pytest.raises(ConfigurationError):
-            periodic_correlate(np.ones(2), np.ones(4), 0)
-        with pytest.raises(ConfigurationError):
-            periodic_convolve(np.ones(2), np.ones(4), 0)

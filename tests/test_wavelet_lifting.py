@@ -111,6 +111,15 @@ class TestFactorization:
         with pytest.raises(ConfigurationError):
             lifting_analyze_axis(np.zeros(31), scheme, axis=0)
 
+    def test_one_sample_lanes_leave_the_input_untouched(self):
+        # A lane of one sample per column is a contiguous view of the input;
+        # the in-place steps must run on a copy.
+        scheme = lifting_scheme(haar_filter())
+        data = np.ones((2, 4))
+        lifting_analyze_axis(data, scheme, axis=0)
+        lifting_analyze_axis_valid(data, scheme, 0, 1, 0)
+        assert (data == 1.0).all()
+
 
 class TestGuardDepths:
     def test_conv_depths_keep_seed_convention(self):
