@@ -81,7 +81,7 @@ class RankCrashError(SimulationError):
         )
 
 
-class DecompositionError(ReproError, ValueError):
+class DecompositionError(ConfigurationError):
     """A domain decomposition cannot be constructed for the given shape."""
 
 

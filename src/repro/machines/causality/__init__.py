@@ -6,8 +6,9 @@ whether that order is an accident of timing:
 
 * :class:`HappensBeforeGraph` — the happens-before partial order over an
   enriched trace (program-order + message edges), with
-  ``happens_before`` / ``concurrent`` queries answered from the engine's
-  per-event vector clocks.
+  ``happens_before`` / ``concurrent`` queries answered from vector-clock
+  components the graph derives per queried rank (the engine stamps only
+  Lamport clocks).
 * :func:`find_wildcard_races` / :func:`certify_deterministic` — for every
   ``ANY_SOURCE``/``ANY_TAG`` receive, the concurrent alternative sends
   that could have matched under a different interleaving; zero hazards

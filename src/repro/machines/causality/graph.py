@@ -1,18 +1,19 @@
 """Happens-before graph over an enriched engine trace.
 
-The engine stamps every traced event with a Lamport clock and a vector
-clock (see :class:`repro.machines.engine.TraceEvent`).  This module turns
-a trace into a queryable partial order:
+The engine stamps every traced event with a Lamport clock and links each
+receive to its matched send (see :class:`repro.machines.engine.TraceEvent`).
+This module turns a trace into a queryable partial order:
 
 * **Program-order edges** connect consecutive events of the same rank.
 * **Message edges** connect each send to the receive that matched it
   (``msg_id`` -> ``match_id``).
 
-``happens_before`` answers in O(1) from the vector clocks (Fidge/Mattern:
-``a -> b`` iff ``VC(a)[rank(a)] <= VC(b)[rank(a)]`` and ``a != b``); when
-stamps are absent (hand-built traces) it falls back to graph reachability,
-and :meth:`HappensBeforeGraph.vclocks_consistent` cross-checks the two on
-demand.
+``happens_before`` uses Fidge/Mattern vector clocks: ``a -> b`` iff
+``a != b`` and ``VC(a)[r] <= VC(b)[r]`` with ``r = rank(a)``.  Only
+component ``r`` is needed, so the graph derives it for every event in
+one pass over a topological order the first time a query asks about
+rank ``r``, and caches it per rank.  A trace therefore carries no O(P)
+state per event, and a query pays only for the ranks it asks about.
 
 ``critical_path`` computes the run's **causal lower bound**: the longest
 duration-weighted path through the happens-before DAG, where a receive is
@@ -26,7 +27,6 @@ naive-vs-snake placement gap (Appendix A Section 5.1).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -77,6 +77,11 @@ class HappensBeforeGraph:
     trace:
         The event list from a traced run (``RunResult.trace``); per-rank
         order in the list is program order.
+
+    Raises :class:`CausalityError` if a program-order successor, or a
+    receive after its matched send, ends earlier than its predecessor:
+    the ``(end_s, index)`` order the graph walks would not be
+    topological.
     """
 
     def __init__(self, trace) -> None:
@@ -86,20 +91,28 @@ class HappensBeforeGraph:
             )
         self.events = list(trace)
         self.prev_in_rank = [None] * len(self.events)
-        self.next_in_rank = [None] * len(self.events)
         self.send_of_msg: dict = {}
         self.recv_of_msg: dict = {}
         last_by_rank: dict = {}
         for i, event in enumerate(self.events):
-            prev = last_by_rank.get(event.rank)
-            if prev is not None:
-                self.prev_in_rank[i] = prev
-                self.next_in_rank[prev] = i
+            self.prev_in_rank[i] = last_by_rank.get(event.rank)
             last_by_rank[event.rank] = i
             if event.kind == "send" and event.msg_id >= 0:
                 self.send_of_msg[event.msg_id] = i
             if event.kind == "recv" and event.match_id >= 0:
                 self.recv_of_msg[event.match_id] = i
+        events = self.events
+        self.topo_order = sorted(range(len(events)), key=lambda i: (events[i].end_s, i))
+        for i, event in enumerate(events):
+            for p in self.predecessors(i):
+                if (events[p].end_s, p) > (event.end_s, i):
+                    raise CausalityError(
+                        f"event {i} ({event.kind}, rank {event.rank}, end "
+                        f"{event.end_s!r}) ends before its predecessor {p} "
+                        f"({events[p].kind}, rank {events[p].rank}, end "
+                        f"{events[p].end_s!r})"
+                    )
+        self._components: dict = {}
 
     def __len__(self) -> int:
         return len(self.events)
@@ -113,16 +126,6 @@ class HappensBeforeGraph:
             for m, r in self.recv_of_msg.items()
             if m in self.send_of_msg
         )
-
-    def successors(self, index: int) -> list:
-        """Direct happens-before successors of an event."""
-        event = self._event(index)
-        out = []
-        if self.next_in_rank[index] is not None:
-            out.append(self.next_in_rank[index])
-        if event.kind == "send" and event.msg_id in self.recv_of_msg:
-            out.append(self.recv_of_msg[event.msg_id])
-        return out
 
     def predecessors(self, index: int) -> list:
         """Direct happens-before predecessors of an event."""
@@ -145,13 +148,12 @@ class HappensBeforeGraph:
 
     def happens_before(self, a: int, b: int) -> bool:
         """True iff event ``a`` causally precedes event ``b``."""
-        ea, eb = self._event(a), self._event(b)
+        rank = self._event(a).rank
+        self._event(b)
         if a == b:
             return False
-        va, vb = ea.vclock, eb.vclock
-        if va and vb and len(va) == len(vb):
-            return va[ea.rank] <= vb[ea.rank] and va != vb
-        return self._reachable(a, b)
+        component = self._component(rank)
+        return component[a] <= component[b]
 
     def concurrent(self, a: int, b: int) -> bool:
         """True iff neither event causally precedes the other."""
@@ -159,36 +161,20 @@ class HappensBeforeGraph:
             return False
         return not self.happens_before(a, b) and not self.happens_before(b, a)
 
-    def _reachable(self, a: int, b: int) -> bool:
-        """BFS over program-order + message edges (vclock-free fallback)."""
-        frontier = deque([a])
-        seen = {a}
-        while frontier:
-            node = frontier.popleft()
-            for nxt in self.successors(node):
-                if nxt == b:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
-
-    def vclocks_consistent(self) -> bool:
-        """Cross-check every pair: the vector-clock verdict must equal
-        graph reachability.  O(n^2) — intended for tests and small
-        traces."""
-        n = len(self.events)
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                ea, eb = self.events[a], self.events[b]
-                if not (ea.vclock and eb.vclock):
-                    continue
-                by_clock = ea.vclock[ea.rank] <= eb.vclock[ea.rank] and ea.vclock != eb.vclock
-                if by_clock != self._reachable(a, b):
-                    return False
-        return True
+    def _component(self, rank: int) -> list:
+        """``VC(e)[rank]`` for every event ``e``: the number of ``rank``'s
+        events that happen before or at ``e``.  A receive takes the max
+        of its program-order predecessor and its matched send."""
+        component = self._components.get(rank)
+        if component is None:
+            component = [0] * len(self.events)
+            for i in self.topo_order:
+                value = max((component[p] for p in self.predecessors(i)), default=0)
+                if self.events[i].rank == rank:
+                    value += 1
+                component[i] = value
+            self._components[rank] = component
+        return component
 
     # -- critical path -------------------------------------------------------
 
@@ -207,14 +193,10 @@ class HappensBeforeGraph:
         if n == 0:
             elapsed = 0.0 if elapsed_s is None else float(elapsed_s)
             return CriticalPathAnalysis(0.0, elapsed, (), 0.0, 0.0, 0.0)
-        # (end_s, index) is a topological key: program-order successors end
-        # later on the same rank, and a recv both ends after its matched
-        # send and is appended to the trace after it.
-        topo = sorted(range(n), key=lambda i: (events[i].end_s, i))
         lb_end = [0.0] * n
         pred = [-1] * n
         via_message = [False] * n
-        for i in topo:
+        for i in self.topo_order:
             event = events[i]
             ready = 0.0
             best_pred = -1

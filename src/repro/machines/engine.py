@@ -38,6 +38,7 @@ Accounting follows Appendix B's performance-budget definitions:
 from __future__ import annotations
 
 import heapq
+import math
 import pickle
 from dataclasses import dataclass, field
 
@@ -115,6 +116,13 @@ def payload_nbytes(payload) -> int:
     return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
+def _check_amount(name: str, amount) -> None:
+    """Reject a negative or non-finite charge at the boundary: it would
+    run the rank's virtual clock backwards or make it NaN."""
+    if not 0.0 <= amount < math.inf:
+        raise ConfigurationError(f"{name} must be finite and >= 0, got {amount!r}")
+
+
 def _copy_payload(payload):
     """Copy mutable payloads at the send boundary (message-passing has
     value semantics; without the copy a sender could mutate in-flight
@@ -167,13 +175,11 @@ class _RecvOp:
 @dataclass(frozen=True)
 class _MsgMeta:
     """Causality metadata carried alongside an in-flight message when the
-    engine is tracing: the send's identity and clock stamps, plus the
+    engine is tracing: the send's identity and Lamport stamp, plus the
     contention-free arrival time for critical-path analysis."""
 
     msg_id: int
     lamport: int
-    vclock: tuple
-    sent_at: float
     min_arrive: float
 
 
@@ -341,20 +347,31 @@ class RankContext:
         redundant: bool = False,
     ):
         """Charge computation time.  ``redundant=True`` books it as
-        parallelization redundancy instead of useful work."""
-        return _ComputeOp(
-            ops=OpCount(flops=flops, intops=intops, memops=memops), redundant=redundant
+        parallelization redundancy instead of useful work.  Raises
+        :class:`~repro.errors.ConfigurationError` for a negative or
+        non-finite count."""
+        return self.charge(
+            OpCount(flops=flops, intops=intops, memops=memops), redundant=redundant
         )
 
     def charge(self, ops: OpCount, *, redundant: bool = False):
-        """Charge a pre-built :class:`OpCount` (cost-model output)."""
+        """Charge a pre-built :class:`OpCount` (cost-model output).
+        Raises :class:`~repro.errors.ConfigurationError` if any count is
+        negative or non-finite."""
+        _check_amount("flops", ops.flops)
+        _check_amount("intops", ops.intops)
+        _check_amount("memops", ops.memops)
         return _ComputeOp(ops=ops, redundant=redundant)
 
     def elapse(self, seconds: float, *, kind: str = "work"):
-        """Charge raw virtual seconds to a budget category directly."""
+        """Charge raw virtual seconds to a budget category directly.
+        Raises :class:`~repro.errors.ConfigurationError` for an unknown
+        ``kind`` or a negative or non-finite ``seconds``."""
         if kind not in ("work", "redundancy", "comm"):
             raise ConfigurationError(f"unknown budget kind {kind!r}")
-        return _ElapseOp(seconds=float(seconds), kind=kind)
+        seconds = float(seconds)
+        _check_amount("seconds", seconds)
+        return _ElapseOp(seconds=seconds, kind=kind)
 
     def set_resident_memory(self, nbytes: float):
         """Declare the rank's resident-set size (drives the paging model)."""
@@ -423,8 +440,10 @@ class TraceEvent:
     * ``arrive_s`` — when the matched message arrived (recvs only).
     * ``min_arrive_s`` — when it *would* have arrived on an uncontended
       network (recvs only); the causal lower bound uses this.
-    * ``lamport`` / ``vclock`` — Lamport stamp and per-rank vector-clock
-      stamp of the event (one tick per recorded event, merged on recv).
+    * ``lamport`` — Lamport stamp of the event (one tick per recorded
+      event, merged on recv).  Vector clocks are not stamped:
+      :class:`~repro.machines.causality.HappensBeforeGraph` derives the
+      components a query needs from the ``msg_id``/``match_id`` links.
     """
 
     rank: int
@@ -441,7 +460,6 @@ class TraceEvent:
     arrive_s: float = field(default=-1.0, compare=False)
     min_arrive_s: float = field(default=-1.0, compare=False)
     lamport: int = field(default=0, compare=False)
-    vclock: tuple = field(default=(), compare=False)
 
 
 @dataclass
@@ -460,8 +478,9 @@ class RunResult:
     #: retransmits, dropped, corrupted, duplicates, delayed, checkpoints.
     fault_stats: dict = None
     #: Engine-internals counters for the run (always present): ops retired
-    #: (``events``), wildcard-heap activity, and route/path cache hits
-    #: from the network layer.
+    #: (``events``), receives matched through a wildcard
+    #: (``wildcard_matches``), and route/path cache hits from the network
+    #: layer.
     engine_stats: dict = None
 
     @property
@@ -500,10 +519,6 @@ class _RankState:
         "resident",
         "mailbox",
         "arrive_floor",
-        "chan_popped",
-        "wild_any",
-        "wild_src",
-        "wild_tag",
         "waiting",
         "deadline",
         "timeout_token",
@@ -513,10 +528,9 @@ class _RankState:
         "result",
         "pending_value",
         "lamport",
-        "vc",
     )
 
-    def __init__(self, rank: int, gen, nranks: int = 0) -> None:
+    def __init__(self, rank: int, gen) -> None:
         self.rank = rank
         self.gen = gen
         self.clock = 0.0
@@ -527,14 +541,6 @@ class _RankState:
         # delivery is FIFO non-overtaking per channel (a fault-delayed
         # message holds back its successors, like an in-order transport).
         self.arrive_floor: dict = {}
-        # Matching-index state (see Engine._match).  ``chan_popped`` counts
-        # messages consumed per (src, tag) channel so wildcard-heap entries
-        # can be lazily invalidated; the three heap families are created on
-        # first use by the wildcard shape that needs them.
-        self.chan_popped: dict = {}
-        self.wild_any = None  # heap of (arrive, src, tag, idx) | None
-        self.wild_src: dict = {}  # src -> heap of (arrive, tag, idx)
-        self.wild_tag: dict = {}  # tag -> heap of (arrive, src, idx)
         self.waiting = None
         self.deadline = None  # absolute virtual time the parked recv times out
         self.timeout_token = 0  # invalidates stale timeout wake-ups
@@ -544,9 +550,6 @@ class _RankState:
         self.result = None
         self.pending_value = None
         self.lamport = 0
-        # Vector clocks are O(P) per rank; untraced runs pass nranks=0 and
-        # carry no clock state at all (satellite: zero vclock cost untraced).
-        self.vc = [0] * nranks if nranks else None
 
 
 class Engine:
@@ -564,9 +567,10 @@ class Engine:
     retransmitted (exponential backoff charged in virtual time) so program
     *values* are unaffected — only the schedule and the budgets change.
 
-    Mailbox matching is indexed: an exact-key receive is one dict lookup,
-    and wildcard receives pop arrival-ordered heaps, both implementing the
-    documented ``(arrive, (src, tag))`` lexicographic matching rule.
+    Mailboxes are keyed by ``(src, tag)`` channel: an exact-key receive
+    is one dict lookup, and a wildcard receive scans the matching
+    channels' heads, both implementing the documented
+    ``(arrive, (src, tag))`` lexicographic matching rule.
     """
 
     def __init__(
@@ -587,7 +591,6 @@ class Engine:
         self._seq = 0
         self._events = 0
         self._wildcard_matches = 0
-        self._wildcard_backfills = 0
 
     def _record(self, rank, kind, start, end, peer=-1, nbytes=0, **causal) -> None:
         if self.record_trace:
@@ -598,13 +601,11 @@ class Engine:
                 )
             )
 
-    def _stamp(self, st: "_RankState") -> tuple:
-        """Tick the rank's Lamport and vector clocks for one event and
-        return the ``(lamport, vclock)`` stamp.  Only called while
-        tracing."""
+    def _stamp(self, st: "_RankState") -> int:
+        """Tick the rank's Lamport clock for one event and return the
+        stamp.  Only called while tracing."""
         st.lamport += 1
-        st.vc[st.rank] += 1
-        return st.lamport, tuple(st.vc)
+        return st.lamport
 
     def run(self, program, *args, **kwargs) -> RunResult:
         """Instantiate ``program(ctx, *args, **kwargs)`` on every rank and
@@ -634,7 +635,6 @@ class Engine:
         self._seq = 0
         self._events = 0
         self._wildcard_matches = 0
-        self._wildcard_backfills = 0
         self.fault_stats = {
             "retransmits": 0,
             "dropped": 0,
@@ -657,7 +657,7 @@ class Engine:
                 raise ConfigurationError(
                     "rank program must be a generator function (use 'yield')"
                 )
-            states.append(_RankState(rank, gen, nranks if self.record_trace else 0))
+            states.append(_RankState(rank, gen))
 
         # Heap entries are (time, rank, seq, kind).  "run" entries obey the
         # one-entry-per-rank invariant via in_heap; "timeout" and "crash"
@@ -704,7 +704,6 @@ class Engine:
         self.engine_stats = {
             "events": self._events,
             "wildcard_matches": self._wildcard_matches,
-            "wildcard_backfills": self._wildcard_backfills,
             "route_cache_hits": route_hits,
             "route_cache_misses": route_misses,
             "path_cache_hits": getattr(network, "path_cache_hits", 0),
@@ -847,10 +846,7 @@ class Engine:
         """Record a non-messaging event, stamping it if tracing."""
         if not self.record_trace:
             return
-        lamport, vclock = self._stamp(st)
-        self._record(
-            st.rank, kind, start, st.clock, lamport=lamport, vclock=vclock
-        )
+        self._record(st.rank, kind, start, st.clock, lamport=self._stamp(st))
 
     def _fire_timeout(self, st: _RankState) -> None:
         """Expire a parked timed receive: charge the blocked time, record
@@ -861,13 +857,12 @@ class Engine:
         st.budget.comm_s += st.deadline - st.clock
         st.clock = st.deadline
         if self.record_trace:
-            lamport, vclock = self._stamp(st)
             self._record(
                 st.rank, "recv", start, st.clock,
                 peer=op.src, nbytes=0, tag=op.tag,
                 wildcard_src=op.src == ANY_SOURCE,
                 wildcard_tag=op.tag == ANY_TAG,
-                lamport=lamport, vclock=vclock,
+                lamport=self._stamp(st),
             )
         st.pending_exc = RecvTimeoutError(
             st.rank, op.src, op.tag, op.timeout_s, st.clock
@@ -887,10 +882,9 @@ class Engine:
         st.ckpts.append(_copy_payload(op.state))
         self.fault_stats["checkpoints"] += 1
         if self.record_trace:
-            lamport, vclock = self._stamp(st)
             self._record(
                 st.rank, "checkpoint", start, st.clock, nbytes=nbytes,
-                lamport=lamport, vclock=vclock,
+                lamport=self._stamp(st),
             )
 
     def _do_send(self, st: _RankState, op: _SendOp, states, heap, in_heap) -> None:
@@ -949,17 +943,11 @@ class Engine:
             waited = machine.network.total_contention_s - contention_before
             msg_id = self._next_msg_id
             self._next_msg_id += 1
-            lamport, vclock = self._stamp(st)
-            meta = _MsgMeta(
-                msg_id=msg_id,
-                lamport=lamport,
-                vclock=vclock,
-                sent_at=st.clock,
-                min_arrive=deliver - waited,
-            )
+            lamport = self._stamp(st)
+            meta = _MsgMeta(msg_id=msg_id, lamport=lamport, min_arrive=deliver - waited)
             self._record(
                 st.rank, "send", start, st.clock, op.dst, op.nbytes,
-                tag=op.tag, msg_id=msg_id, lamport=lamport, vclock=vclock,
+                tag=op.tag, msg_id=msg_id, lamport=lamport,
             )
         dst = states[op.dst]
         key = (st.rank, op.tag)
@@ -1064,86 +1052,15 @@ class Engine:
     # smallest (src, tag) pair — the (arrive, (src, tag)) lexicographic
     # minimum.  Per-channel arrivals are monotone non-decreasing
     # (arrive_floor enforces FIFO non-overtaking), so only each queue's
-    # head can ever be the minimum, which is what makes heap indexing of
+    # head can ever be the minimum, which is what makes a scan of the
     # channel heads sound.
 
     def _enqueue(self, dst: _RankState, key, arrive, payload, meta) -> None:
-        """Append a message to ``dst``'s mailbox and mirror it into any
-        wildcard heaps that already exist for its shape.
-
-        The heap entry's ``idx`` is the message's absolute position on its
-        channel (messages popped so far + queue length before the append);
-        an entry is stale once ``chan_popped`` has moved past it.
-        """
+        """Append a message to ``dst``'s mailbox channel ``key``."""
         queue = dst.mailbox.get(key)
         if queue is None:
             queue = dst.mailbox[key] = []
-        idx = dst.chan_popped.get(key, 0) + len(queue)
         queue.append((arrive, payload, meta))
-        src, tag = key
-        heap = dst.wild_any
-        if heap is not None:
-            heapq.heappush(heap, (arrive, src, tag, idx))
-        heap = dst.wild_src.get(src)
-        if heap is not None:
-            heapq.heappush(heap, (arrive, tag, idx))
-        heap = dst.wild_tag.get(tag)
-        if heap is not None:
-            heapq.heappush(heap, (arrive, src, idx))
-
-    def _pop_channel(self, st: _RankState, key):
-        """Consume the head of one mailbox channel, advancing its pop
-        counter so stale wildcard-heap entries are recognized."""
-        st.chan_popped[key] = st.chan_popped.get(key, 0) + 1
-        return st.mailbox[key].pop(0)
-
-    def _wildcard_heap(self, st: _RankState, src: int, tag: int) -> list:
-        """The heap serving a wildcard shape, built on first use from the
-        mailbox's current contents (so externally seeded mailboxes work)."""
-        if src == ANY_SOURCE and tag == ANY_TAG:
-            heap = st.wild_any
-            if heap is None:
-                heap = st.wild_any = self._backfill_heap(st, None, None)
-            return heap
-        if tag == ANY_TAG:
-            heap = st.wild_src.get(src)
-            if heap is None:
-                heap = st.wild_src[src] = self._backfill_heap(st, src, None)
-            return heap
-        heap = st.wild_tag.get(tag)
-        if heap is None:
-            heap = st.wild_tag[tag] = self._backfill_heap(st, None, tag)
-        return heap
-
-    def _backfill_heap(self, st: _RankState, src, tag) -> list:
-        """Index every queued message matching the (src, tag) filter
-        (``None`` = wildcard).  Entry tuples are ordered so the heap
-        minimum IS the (arrive, (src, tag)) lexicographic minimum."""
-        self._wildcard_backfills += 1
-        heap: list = []
-        popped = st.chan_popped
-        # Order-insensitive: heapify sorts the entries, so mailbox
-        # insertion order cannot leak into matching.
-        # lint: disable-next=DET-DICT-ITERATION
-        for (q_src, q_tag), queue in st.mailbox.items():
-            if not queue:
-                continue
-            if src is not None and q_src != src:
-                continue
-            if tag is not None and q_tag != tag:
-                continue
-            base = popped.get((q_src, q_tag), 0)
-            if src is None and tag is None:
-                for off, entry in enumerate(queue):
-                    heap.append((entry[0], q_src, q_tag, base + off))
-            elif tag is None:
-                for off, entry in enumerate(queue):
-                    heap.append((entry[0], q_tag, base + off))
-            else:
-                for off, entry in enumerate(queue):
-                    heap.append((entry[0], q_src, base + off))
-        heapq.heapify(heap)
-        return heap
 
     def _match(self, st: _RankState, op: _RecvOp, before: float | None = None):
         """Find the earliest-arriving mailbox entry matching a recv.
@@ -1162,35 +1079,24 @@ class Engine:
                 return None
             if before is not None and queue[0][0] > before:
                 return None
-            return key, self._pop_channel(st, key)
-        heap = self._wildcard_heap(st, src, tag)
-        mailbox = st.mailbox
-        popped = st.chan_popped
-        while heap:
-            entry = heap[0]
-            if src == ANY_SOURCE and tag == ANY_TAG:
-                arrive, e_src, e_tag, idx = entry
-            elif tag == ANY_TAG:
-                arrive, e_tag, idx = entry
-                e_src = src
-            else:
-                arrive, e_src, idx = entry
-                e_tag = tag
-            key = (e_src, e_tag)
-            queue = mailbox.get(key)
-            if not queue or idx != popped.get(key, 0):
-                # Stale: that message was consumed through another recv
-                # shape (lazy deletion).
-                heapq.heappop(heap)
+            return key, queue.pop(0)
+        best_key = best_arrive = None
+        # Order-insensitive: the loop reduces to the (arrive, (src, tag))
+        # minimum, so mailbox insertion order cannot leak into matching.
+        # lint: disable-next=DET-DICT-ITERATION
+        for key, queue in st.mailbox.items():
+            if not queue:
                 continue
-            if before is not None and arrive > before:
-                # The heap minimum already arrives past the deadline, so
-                # every other candidate does too.
-                return None
-            heapq.heappop(heap)
-            self._wildcard_matches += 1
-            return key, self._pop_channel(st, key)
-        return None
+            arrive = queue[0][0]
+            if best_key is None or arrive < best_arrive or (
+                arrive == best_arrive and key < best_key
+            ):
+                if (src == ANY_SOURCE or key[0] == src) and (tag == ANY_TAG or key[1] == tag):
+                    best_key, best_arrive = key, arrive
+        if best_key is None or (before is not None and best_arrive > before):
+            return None
+        self._wildcard_matches += 1
+        return best_key, st.mailbox[best_key].pop(0)
 
     def _complete_recv(self, st: _RankState, op: _RecvOp, matched) -> None:
         machine = self.machine
@@ -1199,21 +1105,17 @@ class Engine:
         copy_time = nbytes / machine.copy_bytes_per_s
         done = max(st.clock, arrive) + machine.sw_recv_overhead_s + copy_time
         if self.record_trace and meta is not None:
-            # Merge the sender's clocks before ticking: the recv event
+            # Merge the sender's clock before ticking: the recv event
             # must causally dominate the matched send.
             if meta.lamport > st.lamport:
                 st.lamport = meta.lamport
-            for i, v in enumerate(meta.vclock):
-                if v > st.vc[i]:
-                    st.vc[i] = v
-            lamport, vclock = self._stamp(st)
             self._record(
                 st.rank, "recv", st.clock, done, src, nbytes,
                 tag=tag, match_id=meta.msg_id,
                 wildcard_src=op.src == ANY_SOURCE,
                 wildcard_tag=op.tag == ANY_TAG,
                 arrive_s=arrive, min_arrive_s=meta.min_arrive,
-                lamport=lamport, vclock=vclock,
+                lamport=self._stamp(st),
             )
         st.budget.comm_s += done - st.clock
         st.clock = done

@@ -47,8 +47,9 @@ class TestRepoIsClean:
         report = lint_paths()
         waived = sorted((f.module, f.rule_id) for f in report.suppressed)
         assert waived == [
-            # _backfill_heap heapifies its dict walk, so mailbox order
-            # cannot leak into matching.
+            # The wildcard scan in Engine._match reduces its dict walk to
+            # the (arrive, (src, tag)) minimum, so mailbox order cannot
+            # leak into matching.
             ("repro.machines.engine", "DET-DICT-ITERATION"),
         ]
 

@@ -11,6 +11,7 @@ from repro.errors import (
 from repro.machines import ANY_SOURCE, Engine, Machine, paragon, payload_nbytes, workstation
 from repro.machines.cpu import CpuModel
 from repro.machines.network import ContentionNetwork, FullyConnected
+from repro.wavelet.cost import OpCount
 
 
 def ideal_machine(nranks, **overrides):
@@ -183,6 +184,37 @@ class TestTimingSemantics:
 
         with pytest.raises(ConfigurationError):
             Engine(ideal_machine(1)).run(prog)
+
+    @pytest.mark.parametrize("amount", [-5.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "charge",
+        [
+            lambda ctx, x: ctx.elapse(x),
+            lambda ctx, x: ctx.compute(flops=x * 1e9),
+            lambda ctx, x: ctx.compute(memops=x),
+            lambda ctx, x: ctx.charge(OpCount(intops=x)),
+        ],
+        ids=["elapse", "compute-flops", "compute-memops", "charge-intops"],
+    )
+    def test_negative_or_non_finite_charge_rejected(self, charge, amount):
+        """A charge that would run virtual time backwards or make it NaN
+        fails at the boundary."""
+
+        def prog(ctx):
+            yield charge(ctx, amount)
+
+        with pytest.raises(ConfigurationError, match="finite and >= 0"):
+            Engine(ideal_machine(1)).run(prog)
+
+    def test_zero_charges_accepted(self):
+        def prog(ctx):
+            yield ctx.elapse(0.0)
+            yield ctx.compute(flops=0.0)
+            yield ctx.charge(OpCount())
+            return None
+
+        result = Engine(ideal_machine(1)).run(prog)
+        assert result.elapsed_s == 0.0
 
     def test_blocked_recv_counts_as_comm(self):
         def prog(ctx):

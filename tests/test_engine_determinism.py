@@ -170,7 +170,7 @@ class TestPayloadNbytesProperties:
 
 def _engine_and_state(nranks=8):
     engine = Engine(paragon(nranks, protocol="nx"))
-    return engine, _RankState(0, None, nranks)
+    return engine, _RankState(0, None)
 
 
 channels = st.lists(

@@ -1,20 +1,23 @@
-"""Differential tests of the indexed mailbox matcher against a linear
-scan of the whole mailbox (``LinearMatchEngine``, defined here).
+"""Differential tests of the engine's mailbox matcher against a
+brute-force model of the matching rule (``LinearMatchEngine``, defined
+here).
 
-The indexed matcher (exact-key lookup plus lazily-invalidated wildcard
-heaps) must pop the *identical* entry in the *identical* order as the
-linear scan for every interleaving of sends and receives — the
+The engine looks exact-key receives up by channel and answers wildcard
+receives from the channel heads only.  The model scans *every* queued
+entry of every channel for the ``(arrive, src, tag)`` minimum that meets
+the deadline, so it also checks the heads-only argument (per-channel
+arrivals are monotone).  Both must pop the *identical* entry in the
+*identical* order for every interleaving of sends and receives — the
 ``(arrive, (src, tag))`` tie-break is part of the engine's determinism
 contract and every digest pin depends on it.  The property test drives
 both matchers through random interleavings at the data-structure level;
 the engine-level tests check full runs agree bitwise.  Also here: the
-vclock-gating satellite (untraced runs carry no O(P) clock state) and
-the ``engine_stats`` surface.
+``engine_stats`` surface.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.machines import Engine, Machine, api
@@ -28,33 +31,24 @@ from repro.wavelet.parallel.spmd import striped_wavelet_program
 
 
 class LinearMatchEngine(Engine):
-    """The engine with a full scan over every ``(src, tag)`` queue as
-    its matcher: the reference the indexed matcher must agree with."""
+    """The engine with a brute-force matcher: every queued entry of every
+    channel is a candidate, and the ``(arrive, src, tag, position)``
+    minimum among those that match the receive and arrive by the
+    deadline wins.  The reference the engine's matcher must agree with."""
 
     def _match(self, st, op, before=None):
-        best_key = None
-        best_arrive = None
-        # Order-insensitive: the loop reduces to a lexicographic minimum,
-        # so mailbox insertion order cannot leak into matching.
-        for (src, tag), queue in st.mailbox.items():
-            if not queue:
-                continue
-            if op.src != ANY_SOURCE and src != op.src:
-                continue
-            if op.tag != ANY_TAG and tag != op.tag:
-                continue
-            arrive = queue[0][0]
-            if before is not None and arrive > before:
-                continue
-            if (
-                best_arrive is None
-                or arrive < best_arrive
-                or (arrive == best_arrive and (src, tag) < best_key)
-            ):
-                best_arrive, best_key = arrive, (src, tag)
-        if best_key is None:
+        candidates = [
+            (entry[0], src, tag, position)
+            for (src, tag), queue in st.mailbox.items()
+            for position, entry in enumerate(queue)
+            if op.src in (ANY_SOURCE, src)
+            and op.tag in (ANY_TAG, tag)
+            and (before is None or entry[0] <= before)
+        ]
+        if not candidates:
             return None
-        return best_key, self._pop_channel(st, best_key)
+        _arrive, src, tag, position = min(candidates)
+        return (src, tag), st.mailbox[(src, tag)].pop(position)
 
 
 def ideal_machine(nranks):
@@ -77,24 +71,28 @@ N_TAG = 3
 # One mailbox interleaving step: a message arriving on channel
 # (src, tag) at some (clamped-monotone) time, or a receive of one of the
 # four shapes — exact, wild-source, wild-tag, fully wild — optionally
-# with a timed-receive deadline.
+# with a timed-receive deadline.  Each wildcard is drawn half the time
+# and arrival times come from a narrow range, so fully wild receives
+# often meet channel heads that tie and the (src, tag) tie-break decides.
 _send_step = st.tuples(
     st.just("send"),
     st.integers(0, N_SRC - 1),
     st.integers(0, N_TAG - 1),
-    st.integers(0, 20),
+    st.integers(0, 6),
 )
 _recv_step = st.tuples(
     st.just("recv"),
-    st.integers(-1, N_SRC - 1),  # -1 -> ANY_SOURCE
-    st.integers(-1, N_TAG - 1),  # -1 -> ANY_TAG
-    st.one_of(st.none(), st.integers(0, 25)),  # timed-receive deadline
+    st.one_of(st.just(-1), st.integers(0, N_SRC - 1)),  # -1 -> ANY_SOURCE
+    st.one_of(st.just(-1), st.integers(0, N_TAG - 1)),  # -1 -> ANY_TAG
+    st.one_of(st.none(), st.integers(0, 8)),  # timed-receive deadline
 )
 _interleavings = st.lists(st.one_of(_send_step, _recv_step), min_size=1, max_size=60)
 
 
 class TestMatcherDifferential:
     @given(steps=_interleavings)
+    # Heads tie at t=1, and the (src, tag) and (tag, src) orders disagree.
+    @example(steps=[("send", 0, 1, 1), ("send", 1, 0, 1), ("recv", -1, -1, None)])
     @settings(max_examples=200, deadline=None)
     def test_indexed_pops_identical_entries_in_identical_order(self, steps):
         machine = ideal_machine(2)
@@ -201,38 +199,6 @@ class TestMatcherDifferential:
         assert a.finish_times == b.finish_times
 
 
-class TestVclockGating:
-    def run_collecting_states(self, monkeypatch, **engine_kw):
-        states = []
-        original = _RankState.__init__
-
-        def spy(self, rank, gen, nranks=0):
-            original(self, rank, gen, nranks)
-            states.append(self)
-
-        monkeypatch.setattr(_RankState, "__init__", spy)
-
-        def prog(ctx):
-            if ctx.rank == 0:
-                return (yield ctx.recv(1, tag=7))
-            yield ctx.send(0, "ping", tag=7)
-            return None
-
-        run = Engine(ideal_machine(2), **engine_kw).run(prog)
-        return run, states
-
-    def test_untraced_runs_carry_no_vector_clocks(self, monkeypatch):
-        run, states = self.run_collecting_states(monkeypatch)
-        assert len(states) == 2
-        assert all(state.vc is None for state in states)
-        assert run.trace is None
-
-    def test_traced_runs_do(self, monkeypatch):
-        run, states = self.run_collecting_states(monkeypatch, record_trace=True)
-        assert all(isinstance(state.vc, list) and len(state.vc) == 2 for state in states)
-        assert any(event.vclock for event in run.trace)
-
-
 class TestEngineStats:
     def fan_in(self):
         def prog(ctx):
@@ -250,7 +216,6 @@ class TestEngineStats:
         stats = self.fan_in().engine_stats
         assert stats["events"] > 0
         assert stats["wildcard_matches"] == 3
-        assert stats["wildcard_backfills"] >= 0
         for key in (
             "route_cache_hits",
             "route_cache_misses",

@@ -12,7 +12,7 @@ import pytest
 
 from tests._digest_util import digest, run_result_digest
 from repro.data import landsat_like_scene, plummer_sphere, uniform_cube
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DecompositionError
 from repro.machines import paragon, t3d
 from repro.machines.faults import FaultPlan, run_with_recovery
 from repro.nbody import run_parallel_nbody
@@ -154,3 +154,15 @@ class TestRegistryValidation:
         )
         with pytest.raises(ConfigurationError):
             launch(spec)
+
+    @pytest.mark.parametrize("nranks,levels", [(6, 1), (8, 4)])
+    def test_bad_decomposition_is_a_configuration_error(self, image, bank, nranks, levels):
+        """64 rows do not split into 6 stripes, nor into 8 stripes of 2**4."""
+        spec = JobSpec(
+            program="wavelet",
+            params={"image": image, "bank": bank, "levels": levels},
+            options=RunOptions(machine="paragon", nranks=nranks),
+        )
+        with pytest.raises(ConfigurationError) as excinfo:
+            launch(spec)
+        assert isinstance(excinfo.value, DecompositionError)
