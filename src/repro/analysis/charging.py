@@ -43,9 +43,15 @@ RULE_UNCHARGED = rule(
 )
 
 #: Compute kernels the repo's programs call — wavelet filter/lifting
-#: kernels, the n-body and PIC physics stages — plus dense NumPy ops.
+#: primitives and the ``WaveletKernel`` pass methods, the n-body and PIC
+#: physics stages — plus dense NumPy ops.
 DEFAULT_KERNEL_CALLS = frozenset(
     {
+        "analyze",
+        "analyze_valid",
+        "synthesize",
+        "synthesize_valid",
+        "sweep_valid",
         "analyze_axis",
         "analyze_axis_valid",
         "synthesize_axis",
@@ -57,7 +63,6 @@ DEFAULT_KERNEL_CALLS = frozenset(
         "single_loop_analyze_2d",
         "single_loop_analyze_valid",
         "single_loop_synthesize_2d",
-        "_analyze_full_axis1",
         "tree_forces",
         "build_tree",
         "deposit_cic",

@@ -1,14 +1,14 @@
-"""Plan/guard cross-layer contract: exchanged rows match the kernel plan.
+"""Kernel/guard cross-layer contract: exchanged rows match the kernel.
 
-Every wavelet SPMD program ships guard rows sized by the kernel plan's
+Every wavelet SPMD program ships guard rows sized by the kernel's
 ``analysis_guard_depths`` / ``synthesis_guard_depths``.  The depths are
 *data* (per kernel × filter bank), the slices are *code*
-(``current[:back]``, ``current[rows - front:]``, ``[-guard_depth:]``),
+(``current[:back]``, ``current[rows - front:]``, ``b[rows - s_front:]``),
 and nothing ties them together until a transform silently corrupts its
 seam.  This check closes the loop statically: for every registered
-kernel spec and a representative set of filter banks, it evaluates the
+kernel and a representative set of filter banks, it evaluates the
 payload slice depth of each guard-tag send in the extracted protocol
-(:mod:`repro.analysis.protocol`) and compares it against the plan's
+(:mod:`repro.analysis.protocol`) and compares it against the kernel's
 depth for the tag's :class:`~repro.machines.tags.GuardRole`.
 
 A payload whose depth the evaluator cannot reduce to an integer is
@@ -30,8 +30,8 @@ __all__ = ["check_guard_depths", "payload_depth", "REPRESENTATIVE_BANK_LENGTHS"]
 RULE_GUARD_DEPTH = rule(
     "PROTO-GUARD-DEPTH-MISMATCH",
     "error",
-    "guard exchange ships a different row count than the kernel plan requires",
-    "size the payload slice with the plan's analysis_guard_depths / "
+    "guard exchange ships a different row count than the kernel requires",
+    "size the payload slice with the kernel's analysis_guard_depths / "
     "synthesis_guard_depths instead of a hand-computed depth",
 )
 
@@ -47,19 +47,21 @@ _SIZE = 1 << 20
 _FULL = object()
 
 
-def _contract_env(kernel: str, plan, bank) -> dict:
+def _contract_env(kernel: str, bank) -> dict:
     """Closed-world bindings under which the guard sends are evaluated."""
-    front, back = plan.analysis_guard_depths(bank)
-    s_front, s_back = plan.synthesis_guard_depths(bank)
+    from repro.wavelet.kernels import get_kernel
+
+    impl = get_kernel(kernel)
+    front, back = impl.analysis_guard_depths(bank)
+    s_front, s_back = impl.synthesis_guard_depths(bank)
     return {
-        "kernel": kernel,
         "m": bank.length,
         "front": front,
         "back": back,
         "s_front": s_front,
         "s_back": s_back,
         "guard_depth": max(1, bank.length // 2),
-        "sweep": plan.traversal == "single-loop",
+        "sweep": kernel == "single-loop",
         "nranks": 4,
         "distribute": True,
         "collect": True,
@@ -149,16 +151,15 @@ def check_guard_depths(proto, paths: dict) -> list:
     """PROTO-GUARD-DEPTH-MISMATCH findings for one wavelet protocol."""
     from repro.machines.tags import GUARD_ROLES
     from repro.wavelet import filter_bank_for_length
-    from repro.wavelet.plan import KERNEL_NAMES, parse_kernel_spec
+    from repro.wavelet.kernels import KERNEL_NAMES
 
     phase = proto.program.phase
     findings: list = []
     reported: set = set()
     for kernel in KERNEL_NAMES:
-        plan = parse_kernel_spec(kernel)
         for length in REPRESENTATIVE_BANK_LENGTHS:
             bank = filter_bank_for_length(length)
-            env = _contract_env(kernel, plan, bank)
+            env = _contract_env(kernel, bank)
             expected = {
                 "analysis": (env["front"], env["back"]),
                 "synthesis": (env["s_front"], env["s_back"]),
@@ -184,7 +185,7 @@ def check_guard_depths(proto, paths: dict) -> list:
                             path=paths.get(ev.module, "<memory>"),
                             line=ev.line,
                             message=f"{proto.func}() ships {depth} {side}-guard "
-                            f"row(s) on tag {ev.tag} but the {kernel!r} plan's "
+                            f"row(s) on tag {ev.tag} but the {kernel!r} kernel's "
                             f"{phase} depth for a length-{length} bank is {want}",
                         )
                     )

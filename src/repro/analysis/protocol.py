@@ -110,7 +110,7 @@ class ProtocolProgram:
     """One registered entry point for protocol verification.
 
     ``phase`` marks wavelet programs whose guard exchanges are bound to
-    the kernel plan's ``analysis_guard_depths`` / ``synthesis_guard_depths``
+    the kernel's ``analysis_guard_depths`` / ``synthesis_guard_depths``
     contract (checked by :mod:`repro.analysis.contracts`).
     """
 

@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     wavelet.add_argument("--placement", default="snake", choices=("snake", "naive"))
     wavelet.add_argument(
         "--kernel", default="conv",
-        help="filtering kernel spec: conv, lifting, fused, fused:N, or "
-        "single-loop (default conv)",
+        help="filtering kernel: conv, lifting, fused, or single-loop "
+        "(default conv)",
     )
     wavelet.add_argument("--timeline", action="store_true", help="render an ASCII Gantt chart")
 
@@ -375,18 +375,15 @@ def _cmd_wavelet(args) -> int:
         f"{args.levels} level(s) on {args.machine}"
     )
     if args.machine == "maspar":
-        from repro.wavelet.plan import parse_kernel_spec
+        from repro.wavelet.kernels import get_kernel
 
-        # Map the MIMD kernel spec onto the closest SIMD formulation:
-        # conv filters run systolically, the lifting-scheme traversals
-        # run the decimate-first lane algorithms.
-        plan = parse_kernel_spec(args.kernel)
-        if plan.traversal == "single-loop":
-            algorithm = "single-loop"
-        elif plan.scheme == "conv":
-            algorithm = "systolic"
-        else:
-            algorithm = "lifting"
+        # Map the MIMD kernel onto the closest SIMD formulation: conv
+        # filters run systolically, the single-loop sweep keeps its
+        # monolithic form, and the other lifting kernels run the
+        # decimate-first lane algorithm.
+        algorithm = {"conv": "systolic", "single-loop": "single-loop"}.get(
+            get_kernel(args.kernel).name, "lifting"
+        )
         machine = MasParMachine(maspar_mp2(), "hierarchical")
         outcome = simd_mallat_decompose(
             machine, image, bank, args.levels, algorithm=algorithm

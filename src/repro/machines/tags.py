@@ -361,7 +361,7 @@ class GuardRole:
     """Which side of a wavelet guard exchange a tag carries, per phase.
 
     The protocol verifier compares the payload row/sample count of a send
-    on one of these tags against the kernel plan's
+    on one of these tags against the kernel's
     ``analysis_guard_depths`` / ``synthesis_guard_depths``.  ``None``
     means the tag plays no role in that phase.
     """

@@ -158,6 +158,7 @@ def _build_wavelet(spec: JobSpec, nranks: int) -> Launch:
     import numpy as np
 
     from repro.errors import DecompositionError
+    from repro.wavelet.kernels import get_kernel
     from repro.wavelet.parallel.decomposition import (
         BlockDecomposition,
         StripeDecomposition,
@@ -176,12 +177,7 @@ def _build_wavelet(spec: JobSpec, nranks: int) -> Launch:
     levels = int(spec.params["levels"])
     distribute = bool(spec.param("distribute", True))
     collect = bool(spec.param("collect", True))
-    if opts.kernel != "conv":
-        from repro.wavelet.plan import parse_kernel_spec
-
-        # Validates names and parameterized specs ("fused:16",
-        # "single-loop") up front; raises ConfigurationError on junk.
-        parse_kernel_spec(opts.kernel)
+    get_kernel(opts.kernel)  # rejects unknown kernels up front
     kwargs = dict(distribute=distribute, collect=collect, kernel=opts.kernel)
 
     if opts.decomposition == "striped":

@@ -45,11 +45,9 @@ class RunOptions:
         Forwarded to the Paragon factory (``"snake"``/``"naive"``;
         ``"pvm"``/``"nx"``).  ``protocol=None`` keeps the factory default.
     kernel:
-        Wavelet filtering kernel spec: ``"conv"``, ``"lifting"``,
-        ``"fused"`` (or parameterized ``"fused:N"``), or
-        ``"single-loop"`` — anything
-        :func:`repro.wavelet.plan.parse_kernel_spec` accepts.  Programs
-        that do not filter reject non-default values.
+        Wavelet filtering kernel: ``"conv"``, ``"lifting"``, ``"fused"``,
+        or ``"single-loop"`` (:data:`repro.wavelet.kernels.KERNEL_NAMES`).
+        Programs that do not filter reject non-default values.
     decomposition:
         Wavelet domain decomposition (``"striped"``/``"block"``).
     collective:

@@ -44,9 +44,9 @@ class JobTemplate:
 
     ``program`` is a :mod:`repro.runtime` registry name; wavelet
     templates carry image ``size``/``filter_length``/``levels``/
-    ``kernel`` (any :func:`repro.wavelet.plan.parse_kernel_spec` spec —
-    ``"conv"``, ``"lifting"``, ``"fused"``/``"fused:N"``,
-    ``"single-loop"``), workload templates a trace ``scale``/``repeats``.
+    ``kernel`` (one of :data:`repro.wavelet.kernels.KERNEL_NAMES` —
+    ``"conv"``, ``"lifting"``, ``"fused"``, ``"single-loop"``), workload
+    templates a trace ``scale``/``repeats``.
     ``batchable`` marks small requests the service may coalesce into one
     fused submission (one partition allocation serving many images).
     """

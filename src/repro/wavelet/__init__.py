@@ -8,6 +8,8 @@ Sequential API
 * :func:`mallat_decompose_2d` / :func:`mallat_reconstruct_2d` — the
   multi-level 2-D transform and its exact inverse.
 * :func:`dwt_1d` / :func:`idwt_1d` — 1-D counterparts.
+* :func:`get_kernel` / :data:`KERNEL_NAMES` — the four interchangeable
+  transform kernels (:mod:`repro.wavelet.kernels`).
 * :mod:`repro.wavelet.cost` — the operation-count model the machine
   simulators charge virtual time from.
 
@@ -44,7 +46,6 @@ from repro.wavelet.kernels import (
     WaveletKernel,
     get_kernel,
 )
-from repro.wavelet.plan import BufferPolicy, KernelPlan, parse_kernel_spec
 from repro.wavelet.lifting import (
     LiftingScheme,
     LiftingStep,
@@ -141,9 +142,6 @@ __all__ = [
     "FusedKernel",
     "SingleLoopKernel",
     "get_kernel",
-    "KernelPlan",
-    "BufferPolicy",
-    "parse_kernel_spec",
     "LiftingScheme",
     "LiftingStep",
     "lifting_scheme",

@@ -21,19 +21,20 @@ the seed implementation, byte-for-byte preserved):
   next, so each pixel is visited once per level and no intermediate
   subband image exists at all.
 
-Each kernel is the *executor* half of a :class:`repro.wavelet.plan.KernelPlan`
-— a thin configuration binding the plan's arithmetic scheme, traversal,
-boundary handling, and buffer policy to concrete NumPy passes.  The cost
-methods delegate to the plan (:meth:`KernelPlan.level_passes` charges one
-entry per pass, so the single-loop kernel charges one sweep where the
-separable kernels charge a row pass and a column pass), and the
-cost-consistency tests hold them equal to what the SPMD programs actually
-charge through ``ctx.charge``.
+A kernel is the only code that knows its arithmetic.  Per axis it offers
+the periodized passes (:meth:`~WaveletKernel.analyze`,
+:meth:`~WaveletKernel.synthesize`), the valid-mode passes over a
+guard-extended segment whose first ``front`` samples come from the
+preceding neighbor (:meth:`~WaveletKernel.analyze_valid`,
+:meth:`~WaveletKernel.synthesize_valid` — what the SPMD programs run),
+the guard depths those passes need, the :class:`~repro.wavelet.cost.OpCount`
+one pass charges, and the smallest image a 2-D step accepts.  The base
+class builds the separable 2-D step (row pass, then column pass) from the
+per-axis passes and validates every kernel's inputs the same way; the
+fused and single-loop kernels override only the 2-D traversal.
 
-:func:`get_kernel` resolves *specs*, not just names: ``"fused:16"``
-configures the strip height, and every call returns a fresh instance —
-the registry stores factories, so no caller can mutate state out from
-under another (the old shared-singleton ``block_rows`` hazard).
+:func:`get_kernel` resolves one of the four names to a fresh instance;
+anything else raises :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -41,20 +42,30 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.wavelet.cost import OpCount
-from repro.wavelet.conv import analyze_axis, synthesize_axis
+from repro.wavelet.conv import (
+    analyze_axis,
+    analyze_axis_valid,
+    synthesize_axis,
+    synthesize_axis_valid,
+)
+from repro.wavelet.cost import (
+    OpCount,
+    filter_pass_cost,
+    lifting_pass_cost,
+    single_loop_sweep_cost,
+    synthesis_pass_cost,
+)
 from repro.wavelet.filters import FilterBank
 from repro.wavelet.lifting import (
-    LiftingScheme,
     lifting_analyze_axis,
     lifting_analyze_axis_valid,
     lifting_scheme,
     lifting_synthesize_axis,
     lifting_synthesize_axis_valid,
 )
-from repro.wavelet.plan import KERNEL_NAMES, KernelPlan, parse_kernel_spec
 from repro.wavelet.singleloop import (
     single_loop_analyze_2d,
+    single_loop_analyze_valid,
     single_loop_synthesize_2d,
 )
 
@@ -72,43 +83,121 @@ __all__ = [
 class WaveletKernel:
     """Interface every transform kernel implements.
 
-    2-D methods consume/produce :class:`repro.wavelet.transform.Subbands2D`;
-    1-D methods run one analysis/synthesis level.  Cost queries delegate
-    to the kernel's :class:`~repro.wavelet.plan.KernelPlan` —
-    ``output_samples`` counts every emitted sample (both subbands for
-    analysis, the full doubled rate for synthesis).
+    The per-axis passes return or take the ``(low, high)`` subband pair;
+    2-D steps consume/produce :class:`repro.wavelet.transform.Subbands2D`.
+    Pass costs count every emitted sample (both subbands for analysis,
+    the full doubled rate for synthesis).
     """
 
     name = "abstract"
 
-    def __init__(self, plan: KernelPlan | None = None) -> None:
-        self.plan = plan if plan is not None else parse_kernel_spec(self.name)
+    # -- per-axis arithmetic (one scheme per subclass) -----------------------
 
-    def forward_step_2d(self, image: np.ndarray, bank: FilterBank):
+    def analyze(self, data: np.ndarray, bank: FilterBank, axis: int):
+        """Periodized analysis along ``axis``: ``(low, high)``, axis halved."""
         raise NotImplementedError
 
-    def inverse_step_2d(self, subbands, bank: FilterBank) -> np.ndarray:
+    def synthesize(self, low, high, bank: FilterBank, axis: int) -> np.ndarray:
+        """Invert :meth:`analyze`: the doubled-axis signal."""
         raise NotImplementedError
 
-    def forward_1d(self, signal: np.ndarray, bank: FilterBank):
+    def analyze_valid(self, ext, bank: FilterBank, axis: int, out_len: int, front: int):
+        """Valid-mode analysis of a guard-extended segment whose first
+        ``front`` samples are guards: ``out_len`` samples per subband,
+        aligned with the owned part."""
         raise NotImplementedError
 
-    def inverse_1d(
-        self, approx: np.ndarray, detail: np.ndarray, bank: FilterBank
+    def synthesize_valid(
+        self, low, high, bank: FilterBank, axis: int, out_len: int, front: int
     ) -> np.ndarray:
+        """Valid-mode synthesis of guard-extended subbands (first ``front``
+        samples are guards): ``out_len`` outputs aligned with the owned
+        part."""
+        raise NotImplementedError
+
+    def analysis_guard_depths(self, bank: FilterBank) -> tuple:
+        """``(front, back)`` guard samples :meth:`analyze_valid` needs
+        around an owned segment."""
+        raise NotImplementedError
+
+    def synthesis_guard_depths(self, bank: FilterBank) -> tuple:
+        """``(front, back)`` guard subband samples :meth:`synthesize_valid`
+        needs (front from the preceding neighbor, back from the next)."""
         raise NotImplementedError
 
     def analysis_pass_cost(self, output_samples: int, bank: FilterBank) -> OpCount:
-        return self.plan.analysis_pass_cost(output_samples, bank)
+        """Cost of one analysis pass emitting ``output_samples``."""
+        raise NotImplementedError
 
     def synthesis_pass_cost(self, output_samples: int, bank: FilterBank) -> OpCount:
-        return self.plan.synthesis_pass_cost(output_samples, bank)
+        """Cost of one synthesis pass emitting ``output_samples``."""
+        raise NotImplementedError
+
+    def min_side(self, bank: FilterBank) -> int:
+        """Smallest image side a 2-D analysis step accepts: periodized
+        filtering may not wrap more than once."""
+        raise NotImplementedError
+
+    # -- shared 2-D step -----------------------------------------------------
 
     def level_cost(self, rows: int, cols: int, bank: FilterBank) -> OpCount:
-        """One 2-D analysis level on an ``rows x cols`` input, totalled
-        over the plan's per-pass charges (row pass plus column pass for
-        the separable traversals, one sweep for single-loop)."""
-        return self.plan.level_cost(rows, cols, bank)
+        """One 2-D analysis level on an ``rows x cols`` input: the row
+        pass plus the column pass."""
+        if rows % 2 or cols % 2:
+            raise ConfigurationError(
+                f"level input must have even dimensions, got {(rows, cols)}"
+            )
+        row_pass = self.analysis_pass_cost(2 * rows * (cols // 2), bank)
+        col_pass = self.analysis_pass_cost(4 * (rows // 2) * (cols // 2), bank)
+        return row_pass + col_pass
+
+    def forward_step_2d(self, image: np.ndarray, bank: FilterBank):
+        """One level of 2-D analysis; every kernel enforces the same shape
+        and minimum-size checks, and the error reports the minimum."""
+        from repro.wavelet.transform import Subbands2D  # transform imports us
+
+        image = np.asarray(image, dtype=np.float64)
+        if image.ndim != 2:
+            raise ConfigurationError(f"expected a 2-D image, got ndim={image.ndim}")
+        rows, cols = image.shape
+        if rows % 2 or cols % 2:
+            raise ConfigurationError(
+                f"image dimensions must be even for decimation, got {rows}x{cols}"
+            )
+        need = self.min_side(bank)
+        if min(rows, cols) < need:
+            raise ConfigurationError(
+                f"image {rows}x{cols} is too small for the {self.name!r} kernel "
+                f"with the {bank.length}-tap {bank.name} bank: both sides must "
+                f"be at least {need} (and even), so the minimum image is "
+                f"{need + need % 2}x{need + need % 2}"
+            )
+        ll, lh, hl, hh = self._analyze_2d(image, bank)
+        return Subbands2D(ll=ll, lh=lh, hl=hl, hh=hh)
+
+    def inverse_step_2d(self, subbands, bank: FilterBank) -> np.ndarray:
+        """Invert :meth:`forward_step_2d`; the four subbands must be 2-D
+        and of one shape."""
+        bands = [
+            np.asarray(b, dtype=np.float64)
+            for b in (subbands.ll, subbands.lh, subbands.hl, subbands.hh)
+        ]
+        if any(b.ndim != 2 or b.shape != bands[0].shape for b in bands):
+            raise ConfigurationError(
+                "expected four 2-D subbands of one shape, got "
+                f"{[b.shape for b in bands]}"
+            )
+        return self._synthesize_2d(*bands, bank)
+
+    def _analyze_2d(self, image: np.ndarray, bank: FilterBank) -> tuple:
+        """Separable traversal: row pass (axis 1), then column pass."""
+        low, high = self.analyze(image, bank, 1)
+        return (*self.analyze(low, bank, 0), *self.analyze(high, bank, 0))
+
+    def _synthesize_2d(self, ll, lh, hl, hh, bank: FilterBank) -> np.ndarray:
+        low = self.synthesize(ll, lh, bank, 0)
+        high = self.synthesize(hl, hh, bank, 0)
+        return self.synthesize(low, high, bank, 1)
 
 
 class ConvKernel(WaveletKernel):
@@ -116,28 +205,49 @@ class ConvKernel(WaveletKernel):
 
     name = "conv"
 
-    def forward_step_2d(self, image, bank):
-        from repro.wavelet.transform import mallat_step_2d
-
-        image = np.asarray(image, dtype=np.float64)
-        if image.ndim == 2:
-            self.plan.validate_step_2d(*image.shape, bank)
-        return mallat_step_2d(image, bank)
-
-    def inverse_step_2d(self, subbands, bank):
-        from repro.wavelet.transform import mallat_inverse_step_2d
-
-        return mallat_inverse_step_2d(subbands, bank)
-
-    def forward_1d(self, signal, bank):
-        detail = analyze_axis(signal, bank.highpass, axis=0)
-        approx = analyze_axis(signal, bank.lowpass, axis=0)
-        return approx, detail
-
-    def inverse_1d(self, approx, detail, bank):
-        return synthesize_axis(approx, bank.lowpass, axis=0) + synthesize_axis(
-            detail, bank.highpass, axis=0
+    def analyze(self, data, bank, axis):
+        return (
+            analyze_axis(data, bank.lowpass, axis),
+            analyze_axis(data, bank.highpass, axis),
         )
+
+    def synthesize(self, low, high, bank, axis):
+        return synthesize_axis(low, bank.lowpass, axis) + synthesize_axis(
+            high, bank.highpass, axis
+        )
+
+    def analyze_valid(self, ext, bank, axis, out_len, front):
+        # The correlation window starts at each output's own sample, so
+        # the front guards are skipped rather than read.
+        owned = ext[(slice(None),) * axis + (slice(front, None),)]
+        return (
+            analyze_axis_valid(owned, bank.lowpass, axis, out_len),
+            analyze_axis_valid(owned, bank.highpass, axis, out_len),
+        )
+
+    def synthesize_valid(self, low, high, bank, axis, out_len, front):
+        return synthesize_axis_valid(
+            low, bank.lowpass, axis, out_len, front
+        ) + synthesize_axis_valid(high, bank.highpass, axis, out_len, front)
+
+    def analysis_guard_depths(self, bank):
+        # The correlation window only reads forward: ``filter_length``
+        # trailing samples (the paper's "order of the filter length").
+        return (0, bank.length)
+
+    def synthesis_guard_depths(self, bank):
+        return (max(1, bank.length // 2), 0)
+
+    def analysis_pass_cost(self, output_samples, bank):
+        return filter_pass_cost(output_samples, bank.length)
+
+    def synthesis_pass_cost(self, output_samples, bank):
+        # Each output sums one product stream per channel, so the pass is
+        # charged per channel: twice the emitted samples.
+        return synthesis_pass_cost(2 * output_samples, bank.length)
+
+    def min_side(self, bank):
+        return bank.length
 
 
 class LiftingKernel(WaveletKernel):
@@ -145,32 +255,39 @@ class LiftingKernel(WaveletKernel):
 
     name = "lifting"
 
-    def _scheme(self, bank: FilterBank) -> LiftingScheme:
-        return lifting_scheme(bank)
+    def analyze(self, data, bank, axis):
+        return lifting_analyze_axis(data, lifting_scheme(bank), axis)
 
-    def forward_step_2d(self, image, bank):
-        from repro.wavelet.transform import Subbands2D
+    def synthesize(self, low, high, bank, axis):
+        return lifting_synthesize_axis(low, high, lifting_scheme(bank), axis)
 
-        scheme = self._scheme(bank)
-        image = np.asarray(image, dtype=np.float64)
-        if image.ndim == 2:
-            self.plan.validate_step_2d(*image.shape, bank)
-        low, high = lifting_analyze_axis(image, scheme, axis=1)
-        ll, lh = lifting_analyze_axis(low, scheme, axis=0)
-        hl, hh = lifting_analyze_axis(high, scheme, axis=0)
-        return Subbands2D(ll=ll, lh=lh, hl=hl, hh=hh)
+    def analyze_valid(self, ext, bank, axis, out_len, front):
+        return lifting_analyze_axis_valid(
+            ext, lifting_scheme(bank), axis, out_len, front
+        )
 
-    def inverse_step_2d(self, subbands, bank):
-        scheme = self._scheme(bank)
-        low = lifting_synthesize_axis(subbands.ll, subbands.lh, scheme, axis=0)
-        high = lifting_synthesize_axis(subbands.hl, subbands.hh, scheme, axis=0)
-        return lifting_synthesize_axis(low, high, scheme, axis=1)
+    def synthesize_valid(self, low, high, bank, axis, out_len, front):
+        return lifting_synthesize_axis_valid(
+            low, high, lifting_scheme(bank), axis, out_len, front
+        )
 
-    def forward_1d(self, signal, bank):
-        return lifting_analyze_axis(signal, self._scheme(bank), axis=0)
+    def analysis_guard_depths(self, bank):
+        # Lifting steps reach both ways; the probed back margin is rounded
+        # up to even so extended segments keep their lane parity.
+        front, back = lifting_scheme(bank).analysis_margins
+        return (front, back + back % 2)
 
-    def inverse_1d(self, approx, detail, bank):
-        return lifting_synthesize_axis(approx, detail, self._scheme(bank), axis=0)
+    def synthesis_guard_depths(self, bank):
+        return lifting_scheme(bank).synthesis_margins
+
+    def analysis_pass_cost(self, output_samples, bank):
+        return lifting_pass_cost(output_samples, lifting_scheme(bank).step_taps)
+
+    def synthesis_pass_cost(self, output_samples, bank):
+        return lifting_pass_cost(output_samples, lifting_scheme(bank).step_taps)
+
+    def min_side(self, bank):
+        return lifting_scheme(bank).filter_length
 
 
 class FusedKernel(LiftingKernel):
@@ -178,72 +295,37 @@ class FusedKernel(LiftingKernel):
 
     ``block_rows`` coarse output rows are produced per sweep; the strip's
     working set is about ``(2 * block_rows + margins) * cols`` doubles.
-    The 1-D paths and per-pass costs are inherited from the lifting kernel
-    — fusion changes traversal order, not arithmetic.
+    The per-axis passes, guard depths and costs are the lifting kernel's —
+    fusion changes traversal order, not arithmetic.
     """
 
     name = "fused"
+    block_rows = 32
 
-    def __init__(
-        self, block_rows: int | None = None, plan: KernelPlan | None = None
-    ) -> None:
-        if plan is None:
-            plan = parse_kernel_spec(
-                "fused" if block_rows is None else f"fused:{block_rows}"
-            )
-        super().__init__(plan)
-
-    @property
-    def block_rows(self) -> int:
-        return self.plan.buffer.block_rows
-
-    def forward_step_2d(self, image, bank):
-        from repro.wavelet.transform import Subbands2D
-
-        scheme = self._scheme(bank)
-        image = np.asarray(image, dtype=np.float64)
+    def _analyze_2d(self, image, bank):
         rows, cols = image.shape
-        self.plan.validate_step_2d(rows, cols, bank)
-        front, back = scheme.analysis_margins
-        back += back % 2  # keep strips an even number of rows
+        front, back = self.analysis_guard_depths(bank)
         half_rows, half_cols = rows // 2, cols // 2
-        ll = np.empty((half_rows, half_cols))
-        lh = np.empty((half_rows, half_cols))
-        hl = np.empty((half_rows, half_cols))
-        hh = np.empty((half_rows, half_cols))
+        ll, lh, hl, hh = (np.empty((half_rows, half_cols)) for _ in range(4))
         for r0 in range(0, half_rows, self.block_rows):
             r1 = min(half_rows, r0 + self.block_rows)
             need = np.arange(2 * r0 - front, 2 * r1 + back) % rows
-            strip = image[need]
-            low, high = lifting_analyze_axis(strip, scheme, axis=1)
-            ll[r0:r1], lh[r0:r1] = lifting_analyze_axis_valid(
-                low, scheme, 0, r1 - r0, front
-            )
-            hl[r0:r1], hh[r0:r1] = lifting_analyze_axis_valid(
-                high, scheme, 0, r1 - r0, front
-            )
-        return Subbands2D(ll=ll, lh=lh, hl=hl, hh=hh)
+            low, high = self.analyze(image[need], bank, 1)
+            ll[r0:r1], lh[r0:r1] = self.analyze_valid(low, bank, 0, r1 - r0, front)
+            hl[r0:r1], hh[r0:r1] = self.analyze_valid(high, bank, 0, r1 - r0, front)
+        return ll, lh, hl, hh
 
-    def inverse_step_2d(self, subbands, bank):
-        scheme = self._scheme(bank)
-        ll = np.asarray(subbands.ll, dtype=np.float64)
-        lh = np.asarray(subbands.lh, dtype=np.float64)
-        hl = np.asarray(subbands.hl, dtype=np.float64)
-        hh = np.asarray(subbands.hh, dtype=np.float64)
+    def _synthesize_2d(self, ll, lh, hl, hh, bank):
         half_rows, half_cols = ll.shape
         rows = 2 * half_rows
-        front, back = scheme.synthesis_margins
+        front, back = self.synthesis_guard_depths(bank)
         image = np.empty((rows, 2 * half_cols))
         for j0 in range(0, rows, 2 * self.block_rows):
             j1 = min(rows, j0 + 2 * self.block_rows)
             seg = np.arange(j0 // 2 - front, (j1 + 1) // 2 + back) % half_rows
-            low = lifting_synthesize_axis_valid(
-                ll[seg], lh[seg], scheme, 0, j1 - j0, front
-            )
-            high = lifting_synthesize_axis_valid(
-                hl[seg], hh[seg], scheme, 0, j1 - j0, front
-            )
-            image[j0:j1] = lifting_synthesize_axis(low, high, scheme, axis=1)
+            low = self.synthesize_valid(ll[seg], lh[seg], bank, 0, j1 - j0, front)
+            high = self.synthesize_valid(hl[seg], hh[seg], bank, 0, j1 - j0, front)
+            image[j0:j1] = self.synthesize(low, high, bank, 1)
         return image
 
 
@@ -254,48 +336,59 @@ class SingleLoopKernel(LiftingKernel):
     horizontal steps over the four polyphase lanes so each pixel is
     visited once per level (:mod:`repro.wavelet.singleloop`).  In 1-D
     there is only one axis to sweep, so the monolithic unit degenerates
-    to the plain lifting pass — the 1-D paths are inherited.  The plan
-    charges one sweep per level instead of two passes.
+    to the plain lifting pass — the per-axis passes are inherited.  A
+    level charges one sweep instead of two passes; the sweep erodes
+    validity along each axis exactly like the separable lifting pass, so
+    the guard depths are inherited too.
     """
 
     name = "single-loop"
 
-    def forward_step_2d(self, image, bank):
-        from repro.wavelet.transform import Subbands2D
+    def level_cost(self, rows, cols, bank):
+        return single_loop_sweep_cost(rows, cols, lifting_scheme(bank).step_taps)
 
-        scheme = self._scheme(bank)
-        image = np.asarray(image, dtype=np.float64)
-        if image.ndim == 2:
-            self.plan.validate_step_2d(*image.shape, bank)
-        ll, lh, hl, hh = single_loop_analyze_2d(image, scheme)
-        return Subbands2D(ll=ll, lh=lh, hl=hl, hh=hh)
-
-    def inverse_step_2d(self, subbands, bank):
-        scheme = self._scheme(bank)
-        return single_loop_synthesize_2d(
-            subbands.ll, subbands.lh, subbands.hl, subbands.hh, scheme
+    def sweep_valid(
+        self, ext, bank, out_rows, out_cols, lead_rows, lead_cols=0, *, periodic_cols=False
+    ):
+        """Valid-mode sweep over a guard-extended tile; see
+        :func:`repro.wavelet.singleloop.single_loop_analyze_valid`."""
+        return single_loop_analyze_valid(
+            ext,
+            lifting_scheme(bank),
+            out_rows,
+            out_cols,
+            lead_rows,
+            lead_cols,
+            periodic_cols=periodic_cols,
         )
+
+    def _analyze_2d(self, image, bank):
+        return single_loop_analyze_2d(image, lifting_scheme(bank))
+
+    def _synthesize_2d(self, ll, lh, hl, hh, bank):
+        return single_loop_synthesize_2d(ll, lh, hl, hh, lifting_scheme(bank))
 
 
 _FACTORIES = {
-    "conv": ConvKernel,
-    "lifting": LiftingKernel,
-    "fused": FusedKernel,
-    "single-loop": SingleLoopKernel,
+    cls.name: cls for cls in (ConvKernel, LiftingKernel, FusedKernel, SingleLoopKernel)
 }
+
+#: Registry spellings, in registration order.
+KERNEL_NAMES = tuple(_FACTORIES)
 
 
 def get_kernel(kernel) -> WaveletKernel:
-    """Resolve a kernel spec to a freshly configured kernel.
+    """Resolve a kernel name to a fresh kernel instance.
 
-    Accepts a registered name (``"fused"``), a parameterized spec
-    (``"fused:16"`` — strip height 16), or an already-built
-    :class:`WaveletKernel` (passed through).  Every spec resolution
-    returns a *new* instance, so configuring one caller's kernel can
-    never leak into another's.  Malformed or unknown specs raise
+    An already-built :class:`WaveletKernel` passes through.  Anything
+    that is not one of :data:`KERNEL_NAMES` raises
     :class:`ConfigurationError`.
     """
     if isinstance(kernel, WaveletKernel):
         return kernel
-    plan = parse_kernel_spec(kernel)
-    return _FACTORIES[plan.base](plan=plan)
+    factory = _FACTORIES.get(kernel) if isinstance(kernel, str) else None
+    if factory is None:
+        raise ConfigurationError(
+            f"unknown kernel {kernel!r}; choose one of {KERNEL_NAMES}"
+        )
+    return factory()

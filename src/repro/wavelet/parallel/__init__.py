@@ -3,9 +3,7 @@
 from repro.wavelet.parallel.decomposition import (
     BlockDecomposition,
     StripeDecomposition,
-    analysis_guard_depths,
     factor_grid,
-    synthesis_guard_depths,
 )
 from repro.wavelet.parallel.simd_mallat import SimdWaveletOutcome, simd_mallat_decompose
 from repro.wavelet.parallel.simd_reconstruct import simd_mallat_reconstruct
@@ -32,8 +30,6 @@ __all__ = [
     "StripeDecomposition",
     "BlockDecomposition",
     "factor_grid",
-    "analysis_guard_depths",
-    "synthesis_guard_depths",
     "SpmdWaveletOutcome",
     "striped_wavelet_program",
     "block_wavelet_program",

@@ -21,36 +21,7 @@ __all__ = [
     "StripeDecomposition",
     "BlockDecomposition",
     "factor_grid",
-    "analysis_guard_depths",
-    "synthesis_guard_depths",
 ]
-
-
-def analysis_guard_depths(bank, kernel: str = "conv") -> tuple:
-    """``(front, back)`` guard rows/cols a rank needs around its owned
-    segment for one level of decimating analysis under ``kernel``.
-
-    The convolution kernel's forward-only window needs no front guard and
-    ``filter_length`` trailing samples (the paper's "order of the filter
-    length").  Lifting steps reach both ways, so the lifting-scheme
-    kernels (``lifting``/``fused``/``single-loop``) need guards on both
-    sides.  Depths are derived from the kernel's parsed
-    :class:`~repro.wavelet.plan.KernelPlan`, which probes the factored
-    scheme's margins and rounds the back guard up to keep extended
-    segments an even length.
-    """
-    from repro.wavelet.plan import parse_kernel_spec
-
-    return parse_kernel_spec(kernel).analysis_guard_depths(bank)
-
-
-def synthesis_guard_depths(bank, kernel: str = "conv") -> tuple:
-    """``(front, back)`` guard subband samples needed for one level of
-    upsampling synthesis under ``kernel`` (front comes from the preceding
-    neighbor, back from the following one)."""
-    from repro.wavelet.plan import parse_kernel_spec
-
-    return parse_kernel_spec(kernel).synthesis_guard_depths(bank)
 
 
 @dataclass(frozen=True)

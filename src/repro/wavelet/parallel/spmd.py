@@ -12,10 +12,18 @@ is verified bit-for-bit against :func:`repro.wavelet.mallat_decompose_2d`
 (both compute the identical periodized transform; no float reordering is
 introduced by the decomposition).
 
+Every kernel but the single-loop sweep runs the same separable level: a
+row pass, a guard exchange, and a valid-mode column pass, with the
+arithmetic, guard depths and per-pass charges taken from the kernel
+(:mod:`repro.wavelet.kernels`).  The convolution kernel's guards are the
+paper's (no front guard, ``filter_length`` back rows); lifting steps also
+reach backwards, so the lifting kernels add a front-guard exchange in
+the opposite direction.
+
 Message tags are allocated by the central :mod:`repro.machines.tags`
 registry (distribution, row-guard, column-guard, collection, plus the
-lifting kernels' front-guard exchanges and the single-loop sweep's
-raw-tile guard exchanges).
+front-guard exchanges and the single-loop sweep's raw-tile guard
+exchanges).
 
 ``kernel="single-loop"`` runs the monolithic sweep of
 :mod:`repro.wavelet.singleloop`: there are no per-pass intermediates to
@@ -35,18 +43,9 @@ import numpy as np
 from repro.errors import DecompositionError
 from repro.machines import tags
 from repro.machines.engine import Machine, RunResult
-from repro.wavelet.conv import analyze_axis_valid
-from repro.wavelet.cost import (
-    filter_pass_cost,
-    lifting_pass_cost,
-    single_loop_sweep_cost,
-)
 from repro.wavelet.filters import FilterBank
-from repro.wavelet.parallel.decomposition import (
-    BlockDecomposition,
-    StripeDecomposition,
-    analysis_guard_depths,
-)
+from repro.wavelet.kernels import SingleLoopKernel, get_kernel
+from repro.wavelet.parallel.decomposition import BlockDecomposition, StripeDecomposition
 from repro.wavelet.pyramid import DetailTriple, WaveletPyramid
 
 __all__ = [
@@ -60,8 +59,8 @@ _TAG_DISTRIBUTE = tags.WAVELET_DISTRIBUTE
 _TAG_ROW_GUARD = tags.WAVELET_ROW_GUARD
 _TAG_COL_GUARD = tags.WAVELET_COL_GUARD
 _TAG_COLLECT = tags.WAVELET_COLLECT
-# Lifting steps reach backwards as well as forwards, so the lifting/fused
-# kernels add a front-guard exchange in the opposite direction.
+# Front guards travel opposite to the back guards when a kernel's steps
+# reach backwards (the lifting kernels).
 _TAG_COL_GUARD_FRONT = tags.WAVELET_COL_GUARD_FRONT
 _TAG_ROW_GUARD_FRONT = tags.WAVELET_ROW_GUARD_FRONT
 # The single-loop sweep exchanges guards of the raw tile before any
@@ -71,13 +70,6 @@ _TAG_SWEEP_GUARD = tags.WAVELET_SWEEP_GUARD
 _TAG_SWEEP_GUARD_FRONT = tags.WAVELET_SWEEP_GUARD_FRONT
 _TAG_SWEEP_COL_GUARD = tags.WAVELET_SWEEP_COL_GUARD
 _TAG_SWEEP_COL_GUARD_FRONT = tags.WAVELET_SWEEP_COL_GUARD_FRONT
-
-
-def _is_sweep(kernel: str) -> bool:
-    """Whether ``kernel`` resolves to the single-loop traversal."""
-    from repro.wavelet.plan import parse_kernel_spec
-
-    return parse_kernel_spec(kernel).traversal == "single-loop"
 
 
 @dataclass
@@ -112,31 +104,24 @@ def striped_wavelet_program(
     :class:`~repro.errors.RankCrashError` — resuming skips the initial
     distribution and fast-forwards to the checkpointed level.
 
-    ``kernel`` selects the filtering implementation.  ``"conv"`` (default)
-    is the seed path, unchanged; ``"lifting"``/``"fused"`` run the factored
-    lifting passes (fusion is a sequential cache-locality detail, so both
-    behave identically here) — the fully-local row pass is periodized
-    lifting, the column pass valid-mode lifting over guards sized by
-    :func:`~repro.wavelet.parallel.decomposition.analysis_guard_depths`,
+    ``kernel`` selects the filtering implementation (``"conv"``, the
+    default seed path, ``"lifting"``, ``"fused"`` or ``"single-loop"``).
+    The fully-local row pass is the kernel's periodized pass and the
+    column pass its valid-mode pass over guards sized by
+    :meth:`~repro.wavelet.kernels.WaveletKernel.analysis_guard_depths`,
     adding a front-guard exchange toward the south neighbor when the
-    scheme's front margin is nonzero.  ``"single-loop"`` exchanges row
-    guards of the *raw* stripe instead (same depths — the sweep's row
-    erosion equals the separable column pass's) and runs one monolithic
-    valid-rows/periodized-columns sweep per level, charged as a single
-    :func:`~repro.wavelet.cost.single_loop_sweep_cost`.
+    front depth is nonzero (fusion is a sequential cache-locality detail,
+    so ``"fused"`` behaves like ``"lifting"`` here).  ``"single-loop"``
+    exchanges row guards of the *raw* stripe instead (same depths — the
+    sweep's row erosion equals the separable column pass's) and runs one
+    monolithic valid-rows/periodized-columns sweep per level, charged as a
+    single :func:`~repro.wavelet.cost.single_loop_sweep_cost`.
     """
     rank, nranks = ctx.rank, ctx.nranks
     m = bank.length
-    if kernel != "conv":
-        from repro.wavelet.lifting import lifting_scheme
-
-        scheme = lifting_scheme(bank)
-        front, back = analysis_guard_depths(bank, kernel)
-        sweep = _is_sweep(kernel)
-    else:
-        scheme = None
-        front, back = analysis_guard_depths(bank)
-        sweep = False
+    impl = get_kernel(kernel)
+    front, back = impl.analysis_guard_depths(bank)
+    sweep = isinstance(impl, SingleLoopKernel)
 
     if restore is not None:
         start_level, current, saved_details = restore[rank]
@@ -174,8 +159,6 @@ def striped_wavelet_program(
         yield ctx.compute(intops=64, redundant=True)
 
         if sweep:
-            from repro.wavelet.singleloop import single_loop_analyze_valid
-
             # Guards of the raw stripe, shipped before any arithmetic
             # (the sweep has no row-pass intermediates to exchange).
             if nranks > 1:
@@ -201,46 +184,18 @@ def striped_wavelet_program(
 
             out_rows = rows // 2
             ext = np.vstack([front_rows, current, back_rows])
-            ll, lh, hl, hh = single_loop_analyze_valid(
-                ext, scheme, out_rows, cols // 2, front, periodic_cols=True
+            ll, lh, hl, hh = impl.sweep_valid(
+                ext, bank, out_rows, cols // 2, front, periodic_cols=True
             )
-            yield ctx.charge(single_loop_sweep_cost(rows, cols, scheme.step_taps))
-        elif kernel == "conv":
-            # Steps 1-2: row filtering + column decimation, fully local.
-            lo = _analyze_full_axis1(current, bank.lowpass)
-            hi = _analyze_full_axis1(current, bank.highpass)
-            yield ctx.charge(filter_pass_cost(2 * rows * (cols // 2), m))
-
-            # Guard zone: ship my top `m` rows of both intermediates to the
-            # north neighbor; receive the south neighbor's (periodic wrap).
-            if nranks > 1:
-                yield ctx.send(north, np.stack([lo[:m], hi[:m]]), tag=_TAG_COL_GUARD)
-                guard = yield ctx.recv(south, tag=_TAG_COL_GUARD)
-                guard_lo, guard_hi = guard[0], guard[1]
-            else:
-                guard_lo, guard_hi = lo[:m], hi[:m]
-
-            # Steps 3-4: column filtering + row decimation over stripe+guard.
-            out_rows = rows // 2
-            ext_lo = np.vstack([lo, guard_lo])
-            ext_hi = np.vstack([hi, guard_hi])
-            ll = analyze_axis_valid(ext_lo, bank.lowpass, axis=0, out_len=out_rows)
-            lh = analyze_axis_valid(ext_lo, bank.highpass, axis=0, out_len=out_rows)
-            hl = analyze_axis_valid(ext_hi, bank.lowpass, axis=0, out_len=out_rows)
-            hh = analyze_axis_valid(ext_hi, bank.highpass, axis=0, out_len=out_rows)
-            yield ctx.charge(filter_pass_cost(4 * out_rows * (cols // 2), m))
+            yield ctx.charge(impl.level_cost(rows, cols, bank))
         else:
-            from repro.wavelet.lifting import (
-                lifting_analyze_axis,
-                lifting_analyze_axis_valid,
-            )
+            # Steps 1-2: row filtering + column decimation, fully local.
+            lo, hi = impl.analyze(current, bank, 1)
+            yield ctx.charge(impl.analysis_pass_cost(2 * rows * (cols // 2), bank))
 
-            # Row pass: both subbands in one periodized lifting sweep.
-            lo, hi = lifting_analyze_axis(current, scheme, axis=1)
-            yield ctx.charge(lifting_pass_cost(2 * rows * (cols // 2), scheme.step_taps))
-
-            # Back guard (from south, as conv) plus a front guard (from
-            # north) when the scheme's steps reach backwards.
+            # Guard zone: my top `back` rows of both intermediates go to
+            # the north neighbor (periodic wrap), plus my bottom `front`
+            # rows to the south when the kernel's steps reach backwards.
             if nranks > 1:
                 if back > 0:
                     yield ctx.send(
@@ -266,14 +221,13 @@ def striped_wavelet_program(
                 back_lo, back_hi = lo[:back], hi[:back]
                 front_lo, front_hi = lo[rows - front :], hi[rows - front :]
 
+            # Steps 3-4: column filtering + row decimation over stripe+guards.
             out_rows = rows // 2
             ext_lo = np.vstack([front_lo, lo, back_lo])
             ext_hi = np.vstack([front_hi, hi, back_hi])
-            ll, lh = lifting_analyze_axis_valid(ext_lo, scheme, 0, out_rows, front)
-            hl, hh = lifting_analyze_axis_valid(ext_hi, scheme, 0, out_rows, front)
-            yield ctx.charge(
-                lifting_pass_cost(4 * out_rows * (cols // 2), scheme.step_taps)
-            )
+            ll, lh = impl.analyze_valid(ext_lo, bank, 0, out_rows, front)
+            hl, hh = impl.analyze_valid(ext_hi, bank, 0, out_rows, front)
+            yield ctx.charge(impl.analysis_pass_cost(4 * out_rows * (cols // 2), bank))
 
         local_details.append((lh, hl, hh))
         current = ll
@@ -306,8 +260,9 @@ def block_wavelet_program(
 ):
     """Rank program: 2-D block decomposition (two guard exchanges per
     level), the costlier alternative of Figure 3.  ``kernel`` as in
-    :func:`striped_wavelet_program`; under lifting both the row and the
-    column filtering gain a front-guard exchange when needed.  Under
+    :func:`striped_wavelet_program`; both the row and the column
+    filtering gain a front-guard exchange when the kernel's front depth
+    is nonzero (the lifting kernels).  Under
     ``"single-loop"`` the level exchanges guards of the raw block in two
     stages — east/west column guards, then north/south row guards of the
     *horizontally-extended* block, so the corner data each diagonal
@@ -315,16 +270,9 @@ def block_wavelet_program(
     runs one doubly-valid monolithic sweep."""
     rank, nranks = ctx.rank, ctx.nranks
     m = bank.length
-    if kernel != "conv":
-        from repro.wavelet.lifting import lifting_scheme
-
-        scheme = lifting_scheme(bank)
-        front, back = analysis_guard_depths(bank, kernel)
-        sweep = _is_sweep(kernel)
-    else:
-        scheme = None
-        front, back = analysis_guard_depths(bank)
-        sweep = False
+    impl = get_kernel(kernel)
+    front, back = impl.analysis_guard_depths(bank)
+    sweep = isinstance(impl, SingleLoopKernel)
 
     (r0, r1), (c0, c1) = decomp.block_ranges(rank)
     if distribute and nranks > 1:
@@ -357,8 +305,6 @@ def block_wavelet_program(
         out_cols = cols // 2
         out_rows = rows // 2
         if sweep:
-            from repro.wavelet.singleloop import single_loop_analyze_valid
-
             # Stage 1: east/west column guards of the raw block.
             if decomp.pcols > 1:
                 if back > 0:
@@ -412,41 +358,11 @@ def block_wavelet_program(
                 back_rows = ext[:back]
                 front_rows = ext[rows - front :]
             full = np.vstack([front_rows, ext, back_rows])
-            ll, lh, hl, hh = single_loop_analyze_valid(
-                full, scheme, out_rows, out_cols, front, front
-            )
-            yield ctx.charge(single_loop_sweep_cost(rows, cols, scheme.step_taps))
-        elif kernel == "conv":
-            # Row filtering needs an east guard of `m` columns.
-            if decomp.pcols > 1:
-                yield ctx.send(west, np.ascontiguousarray(current[:, :m]), tag=_TAG_ROW_GUARD)
-                guard_east = yield ctx.recv(east, tag=_TAG_ROW_GUARD)
-            else:
-                guard_east = current[:, :m]
-            ext = np.hstack([current, guard_east])
-            lo = analyze_axis_valid(ext, bank.lowpass, axis=1, out_len=out_cols)
-            hi = analyze_axis_valid(ext, bank.highpass, axis=1, out_len=out_cols)
-            yield ctx.charge(filter_pass_cost(2 * rows * out_cols, m))
-
-            # Column filtering needs a south guard of `m` rows.
-            if decomp.prows > 1:
-                yield ctx.send(north, np.stack([lo[:m], hi[:m]]), tag=_TAG_COL_GUARD)
-                guard = yield ctx.recv(south, tag=_TAG_COL_GUARD)
-                guard_lo, guard_hi = guard[0], guard[1]
-            else:
-                guard_lo, guard_hi = lo[:m], hi[:m]
-            ext_lo = np.vstack([lo, guard_lo])
-            ext_hi = np.vstack([hi, guard_hi])
-            ll = analyze_axis_valid(ext_lo, bank.lowpass, axis=0, out_len=out_rows)
-            lh = analyze_axis_valid(ext_lo, bank.highpass, axis=0, out_len=out_rows)
-            hl = analyze_axis_valid(ext_hi, bank.lowpass, axis=0, out_len=out_rows)
-            hh = analyze_axis_valid(ext_hi, bank.highpass, axis=0, out_len=out_rows)
-            yield ctx.charge(filter_pass_cost(4 * out_rows * out_cols, m))
+            ll, lh, hl, hh = impl.sweep_valid(full, bank, out_rows, out_cols, front, front)
+            yield ctx.charge(impl.level_cost(rows, cols, bank))
         else:
-            from repro.wavelet.lifting import lifting_analyze_axis_valid
-
             # Row filtering: east back guard, plus a west front guard when
-            # the lifting steps reach backwards.
+            # the kernel's steps reach backwards.
             if decomp.pcols > 1:
                 if back > 0:
                     yield ctx.send(
@@ -472,8 +388,8 @@ def block_wavelet_program(
                 guard_east = current[:, :back]
                 guard_west = current[:, cols - front :]
             ext = np.hstack([guard_west, current, guard_east])
-            lo, hi = lifting_analyze_axis_valid(ext, scheme, 1, out_cols, front)
-            yield ctx.charge(lifting_pass_cost(2 * rows * out_cols, scheme.step_taps))
+            lo, hi = impl.analyze_valid(ext, bank, 1, out_cols, front)
+            yield ctx.charge(impl.analysis_pass_cost(2 * rows * out_cols, bank))
 
             # Column filtering: south back guard plus north front guard.
             if decomp.prows > 1:
@@ -502,9 +418,9 @@ def block_wavelet_program(
                 front_lo, front_hi = lo[rows - front :], hi[rows - front :]
             ext_lo = np.vstack([front_lo, lo, back_lo])
             ext_hi = np.vstack([front_hi, hi, back_hi])
-            ll, lh = lifting_analyze_axis_valid(ext_lo, scheme, 0, out_rows, front)
-            hl, hh = lifting_analyze_axis_valid(ext_hi, scheme, 0, out_rows, front)
-            yield ctx.charge(lifting_pass_cost(4 * out_rows * out_cols, scheme.step_taps))
+            ll, lh = impl.analyze_valid(ext_lo, bank, 0, out_rows, front)
+            hl, hh = impl.analyze_valid(ext_hi, bank, 0, out_rows, front)
+            yield ctx.charge(impl.analysis_pass_cost(4 * out_rows * out_cols, bank))
 
         local_details.append((lh, hl, hh))
         current = ll
@@ -519,14 +435,6 @@ def block_wavelet_program(
         yield ctx.send(0, pieces, tag=_TAG_COLLECT)
         return None
     return [pieces] if rank == 0 else None
-
-
-def _analyze_full_axis1(data: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Periodized row filtering of a full-width stripe (rows are entirely
-    local under striping, so the sequential primitive applies directly)."""
-    from repro.wavelet.conv import analyze_axis
-
-    return analyze_axis(data, taps, axis=1)
 
 
 def _assemble_striped(gathered, bank_name: str, levels: int) -> WaveletPyramid:
@@ -590,8 +498,8 @@ def run_spmd_wavelet(
         ``"striped"`` (the paper's choice) or ``"block"``.
     kernel:
         Filtering implementation: ``"conv"`` (default, the seed path),
-        ``"lifting"``, ``"fused"`` (or a parameterized ``"fused:N"``
-        spec), or ``"single-loop"`` (see :mod:`repro.wavelet.kernels`).
+        ``"lifting"``, ``"fused"``, or ``"single-loop"`` (see
+        :mod:`repro.wavelet.kernels`).
     distribute / collect:
         Whether the timed region includes shipping the image out from
         rank 0 and gathering the subbands back (the paper's measurements

@@ -17,13 +17,8 @@ import numpy as np
 from repro.errors import DecompositionError
 from repro.machines import tags
 from repro.machines.engine import Engine, Machine, RunResult
-from repro.wavelet.conv import analyze_axis_valid
-from repro.wavelet.cost import filter_pass_cost, lifting_pass_cost
 from repro.wavelet.filters import FilterBank
-from repro.wavelet.parallel.decomposition import (
-    analysis_guard_depths,
-    synthesis_guard_depths,
-)
+from repro.wavelet.kernels import get_kernel
 
 __all__ = [
     "Spmd1dOutcome",
@@ -36,7 +31,8 @@ __all__ = [
 _TAG_DISTRIBUTE = tags.DWT1D_DISTRIBUTE
 _TAG_GUARD = tags.DWT1D_GUARD
 _TAG_COLLECT = tags.DWT1D_COLLECT
-# Opposite-direction guards only the lifting/fused kernels need.
+# Opposite-direction guards, sent when a kernel's depth on that side is
+# nonzero (the lifting kernels).
 _TAG_GUARD_FRONT = tags.DWT1D_GUARD_FRONT
 _TAG_GUARD_BACK = tags.DWT1D_GUARD_BACK
 
@@ -71,22 +67,16 @@ def dwt_1d_program(
 ):
     """Rank program for the striped 1-D multi-level decomposition.
 
-    Any lifting-scheme kernel (``"lifting"``/``"fused"``/``"single-loop"``
-    — in 1-D the monolithic sweep degenerates to the factored passes)
-    runs the lifting path; the left-neighbor guard shrinks to the
-    scheme's back margin and a second, front guard travels the other way
-    around the ring when the lifting steps reach backwards.
+    The guard depths come from the kernel: the left neighbor ships its
+    first ``back`` samples, and a second, front guard travels the other
+    way around the ring when the kernel's steps reach backwards (the
+    lifting kernels; in 1-D the single-loop sweep degenerates to the
+    factored passes).
     """
     rank, nranks = ctx.rank, ctx.nranks
     m = bank.length
-    if kernel != "conv":
-        from repro.wavelet.lifting import lifting_scheme
-
-        scheme = lifting_scheme(bank)
-        front, back = analysis_guard_depths(bank, kernel)
-    else:
-        scheme = None
-        front, back = analysis_guard_depths(bank)
+    impl = get_kernel(kernel)
+    front, back = impl.analysis_guard_depths(bank)
     n = signal.shape[0]
     if n % (nranks * 2**levels) != 0:
         raise DecompositionError(
@@ -119,47 +109,32 @@ def dwt_1d_program(
                 f"local segment of {length} samples is shorter than the "
                 f"filter/guard requirement; reduce ranks or levels"
             )
-        if kernel == "conv":
-            # Guard: my left neighbor needs my first m samples (periodic ring).
-            if nranks > 1:
-                yield ctx.send(left, current[:m].copy(), tag=_TAG_GUARD)
-                guard = yield ctx.recv(right, tag=_TAG_GUARD)
-            else:
-                guard = current[:m]
-            extended = np.concatenate([current, guard])
-            out_len = length // 2
-            approx = analyze_axis_valid(extended, bank.lowpass, 0, out_len)
-            detail = analyze_axis_valid(extended, bank.highpass, 0, out_len)
-            yield ctx.charge(filter_pass_cost(2 * out_len, m))
-        else:
-            from repro.wavelet.lifting import lifting_analyze_axis_valid
-
-            if nranks > 1:
-                if back > 0:
-                    yield ctx.send(left, current[:back].copy(), tag=_TAG_GUARD)
-                if front > 0:
-                    yield ctx.send(
-                        right, current[length - front :].copy(), tag=_TAG_GUARD_FRONT
-                    )
-                back_guard = (
-                    (yield ctx.recv(right, tag=_TAG_GUARD))
-                    if back > 0
-                    else current[:0]
+        # Guard: my left neighbor needs my first `back` samples (periodic
+        # ring), my right neighbor my last `front` ones.
+        if nranks > 1:
+            if back > 0:
+                yield ctx.send(left, current[:back].copy(), tag=_TAG_GUARD)
+            if front > 0:
+                yield ctx.send(
+                    right, current[length - front :].copy(), tag=_TAG_GUARD_FRONT
                 )
-                front_guard = (
-                    (yield ctx.recv(left, tag=_TAG_GUARD_FRONT))
-                    if front > 0
-                    else current[:0]
-                )
-            else:
-                back_guard = current[:back]
-                front_guard = current[length - front :]
-            extended = np.concatenate([front_guard, current, back_guard])
-            out_len = length // 2
-            approx, detail = lifting_analyze_axis_valid(
-                extended, scheme, 0, out_len, front
+            back_guard = (
+                (yield ctx.recv(right, tag=_TAG_GUARD))
+                if back > 0
+                else current[:0]
             )
-            yield ctx.charge(lifting_pass_cost(2 * out_len, scheme.step_taps))
+            front_guard = (
+                (yield ctx.recv(left, tag=_TAG_GUARD_FRONT))
+                if front > 0
+                else current[:0]
+            )
+        else:
+            back_guard = current[:back]
+            front_guard = current[length - front :]
+        extended = np.concatenate([front_guard, current, back_guard])
+        out_len = length // 2
+        approx, detail = impl.analyze_valid(extended, bank, 0, out_len, front)
+        yield ctx.charge(impl.analysis_pass_cost(2 * out_len, bank))
         local_details.append(detail)
         current = approx
 
@@ -187,25 +162,15 @@ def idwt_1d_program(
     """Rank program for the striped 1-D reconstruction.
 
     Synthesis needs a guard from the *left* neighbor (the mirror of the
-    analysis guard), of depth ``filter_length // 2`` coefficients.  Under
-    any lifting-scheme kernel (``"lifting"``/``"fused"``/``"single-loop"``)
-    the guard depths come from the scheme's synthesis margins, adding a
+    analysis guard; ``filter_length // 2`` coefficients under conv).  The
+    depths come from the kernel's synthesis guard depths, adding a
     right-neighbor (back) guard when the inverse steps reach forwards.
     """
-    from repro.wavelet.conv import synthesize_axis_valid
-    from repro.wavelet.cost import synthesis_pass_cost
-
     rank, nranks = ctx.rank, ctx.nranks
     m = bank.length
     guard_depth = max(1, m // 2)
-    if kernel != "conv":
-        from repro.wavelet.lifting import lifting_scheme
-
-        scheme = lifting_scheme(bank)
-        s_front, s_back = synthesis_guard_depths(bank, kernel)
-    else:
-        scheme = None
-        s_front, s_back = synthesis_guard_depths(bank)
+    impl = get_kernel(kernel)
+    s_front, s_back = impl.synthesis_guard_depths(bank)
     levels = len(details)
     right = (rank + 1) % nranks
     left = (rank - 1) % nranks
@@ -224,50 +189,31 @@ def idwt_1d_program(
                 f"local segment of {length} samples is shorter than the "
                 f"synthesis guard requirement; reduce ranks or levels"
             )
-        if kernel == "conv":
-            if nranks > 1:
-                tail = np.stack([current[-guard_depth:], detail[-guard_depth:]])
+        if nranks > 1:
+            if s_front > 0:
+                tail = np.stack([current[length - s_front :], detail[length - s_front :]])
                 yield ctx.send(right, tail, tag=_TAG_GUARD)
+            if s_back > 0:
+                head = np.stack([current[:s_back], detail[:s_back]])
+                yield ctx.send(left, head, tag=_TAG_GUARD_BACK)
+            if s_front > 0:
                 guard = yield ctx.recv(left, tag=_TAG_GUARD)
+                front_a, front_d = guard[0], guard[1]
             else:
-                guard = np.stack([current[-guard_depth:], detail[-guard_depth:]])
-            ext_approx = np.concatenate([guard[0], current])
-            ext_detail = np.concatenate([guard[1], detail])
-            out_len = 2 * length
-            current = synthesize_axis_valid(
-                ext_approx, bank.lowpass, 0, out_len, guard_depth
-            ) + synthesize_axis_valid(ext_detail, bank.highpass, 0, out_len, guard_depth)
-            yield ctx.charge(synthesis_pass_cost(2 * out_len, m))
+                front_a = front_d = current[:0]
+            if s_back > 0:
+                guard = yield ctx.recv(right, tag=_TAG_GUARD_BACK)
+                back_a, back_d = guard[0], guard[1]
+            else:
+                back_a = back_d = current[:0]
         else:
-            from repro.wavelet.lifting import lifting_synthesize_axis_valid
-
-            if nranks > 1:
-                if s_front > 0:
-                    tail = np.stack([current[length - s_front :], detail[length - s_front :]])
-                    yield ctx.send(right, tail, tag=_TAG_GUARD)
-                if s_back > 0:
-                    head = np.stack([current[:s_back], detail[:s_back]])
-                    yield ctx.send(left, head, tag=_TAG_GUARD_BACK)
-                if s_front > 0:
-                    guard = yield ctx.recv(left, tag=_TAG_GUARD)
-                    front_a, front_d = guard[0], guard[1]
-                else:
-                    front_a = front_d = current[:0]
-                if s_back > 0:
-                    guard = yield ctx.recv(right, tag=_TAG_GUARD_BACK)
-                    back_a, back_d = guard[0], guard[1]
-                else:
-                    back_a = back_d = current[:0]
-            else:
-                front_a, front_d = current[length - s_front :], detail[length - s_front :]
-                back_a, back_d = current[:s_back], detail[:s_back]
-            ext_approx = np.concatenate([front_a, current, back_a])
-            ext_detail = np.concatenate([front_d, detail, back_d])
-            out_len = 2 * length
-            current = lifting_synthesize_axis_valid(
-                ext_approx, ext_detail, scheme, 0, out_len, s_front
-            )
-            yield ctx.charge(lifting_pass_cost(out_len, scheme.step_taps))
+            front_a, front_d = current[length - s_front :], detail[length - s_front :]
+            back_a, back_d = current[:s_back], detail[:s_back]
+        ext_approx = np.concatenate([front_a, current, back_a])
+        ext_detail = np.concatenate([front_d, detail, back_d])
+        out_len = 2 * length
+        current = impl.synthesize_valid(ext_approx, ext_detail, bank, 0, out_len, s_front)
+        yield ctx.charge(impl.synthesis_pass_cost(out_len, bank))
 
     if collect and nranks > 1:
         if rank == 0:

@@ -19,13 +19,9 @@ import numpy as np
 from repro.errors import DecompositionError
 from repro.machines import tags
 from repro.machines.engine import Engine, Machine, RunResult
-from repro.wavelet.conv import synthesize_axis, synthesize_axis_valid
-from repro.wavelet.cost import lifting_pass_cost, synthesis_pass_cost
 from repro.wavelet.filters import FilterBank
-from repro.wavelet.parallel.decomposition import (
-    StripeDecomposition,
-    synthesis_guard_depths,
-)
+from repro.wavelet.kernels import get_kernel
+from repro.wavelet.parallel.decomposition import StripeDecomposition
 from repro.wavelet.pyramid import WaveletPyramid
 
 __all__ = ["SpmdReconstructOutcome", "striped_reconstruct_program", "run_spmd_reconstruct"]
@@ -33,8 +29,8 @@ __all__ = ["SpmdReconstructOutcome", "striped_reconstruct_program", "run_spmd_re
 _TAG_DISTRIBUTE = tags.RECONSTRUCT_DISTRIBUTE
 _TAG_GUARD = tags.RECONSTRUCT_GUARD
 _TAG_COLLECT = tags.RECONSTRUCT_COLLECT
-# Extra guard the lifting/fused kernels fetch from the *south* neighbor
-# when the inverse lifting steps reach forwards.
+# Extra guard fetched from the *south* neighbor when a kernel's inverse
+# steps reach forwards (the lifting kernels).
 _TAG_GUARD_BACK = tags.RECONSTRUCT_GUARD_BACK
 
 
@@ -73,23 +69,17 @@ def striped_reconstruct_program(
 ):
     """Rank program for the striped parallel reconstruction.
 
-    Any lifting-scheme kernel (``"lifting"``/``"fused"``/``"single-loop"``
-    — the single-loop inverse shares the separable lifting synthesis
-    path) runs the inverse lifting passes with guard depths from the
-    scheme's synthesis margins (a north front guard, plus a south back
-    guard when the inverse steps reach forwards).
+    Every kernel runs its valid-mode column synthesis over guards sized by
+    its synthesis guard depths (a north front guard, plus a south back
+    guard when the inverse steps reach forwards), then its fully local
+    periodized row synthesis; the single-loop inverse shares the
+    separable lifting passes here.
     """
     rank, nranks = ctx.rank, ctx.nranks
     m = bank.length
     guard_depth = max(1, m // 2)
-    if kernel != "conv":
-        from repro.wavelet.lifting import lifting_scheme
-
-        scheme = lifting_scheme(bank)
-        s_front, s_back = synthesis_guard_depths(bank, kernel)
-    else:
-        scheme = None
-        s_front, s_back = synthesis_guard_depths(bank)
+    impl = get_kernel(kernel)
+    s_front, s_back = impl.synthesis_guard_depths(bank)
     levels = pyramid.levels
 
     if distribute and nranks > 1:
@@ -119,75 +109,40 @@ def striped_reconstruct_program(
         yield ctx.compute(intops=64, redundant=True)
 
         out_rows = 2 * rows
-        if kernel == "conv":
-            # Column synthesis needs the north neighbor's *bottom* guard rows
-            # of every subband at this level (periodic wrap via the ring).
-            if nranks > 1:
-                bottom = np.stack(
-                    [current[-guard_depth:], lh[-guard_depth:], hl[-guard_depth:], hh[-guard_depth:]]
-                )
+        # Column synthesis needs the north neighbor's *bottom* guard rows
+        # of every subband at this level (periodic wrap via the ring).
+        bands = (current, lh, hl, hh)
+        if nranks > 1:
+            if s_front > 0:
+                bottom = np.stack([b[rows - s_front :] for b in bands])
                 yield ctx.send(south, bottom, tag=_TAG_GUARD)
-                guard = yield ctx.recv(north, tag=_TAG_GUARD)
+            if s_back > 0:
+                top = np.stack([b[:s_back] for b in bands])
+                yield ctx.send(north, top, tag=_TAG_GUARD_BACK)
+            if s_front > 0:
+                front_guard = yield ctx.recv(north, tag=_TAG_GUARD)
             else:
-                guard = np.stack(
-                    [current[-guard_depth:], lh[-guard_depth:], hl[-guard_depth:], hh[-guard_depth:]]
-                )
-            ext_ll = np.vstack([guard[0], current])
-            ext_lh = np.vstack([guard[1], lh])
-            ext_hl = np.vstack([guard[2], hl])
-            ext_hh = np.vstack([guard[3], hh])
-
-            low = synthesize_axis_valid(
-                ext_ll, bank.lowpass, 0, out_rows, guard_depth
-            ) + synthesize_axis_valid(ext_lh, bank.highpass, 0, out_rows, guard_depth)
-            high = synthesize_axis_valid(
-                ext_hl, bank.lowpass, 0, out_rows, guard_depth
-            ) + synthesize_axis_valid(ext_hh, bank.highpass, 0, out_rows, guard_depth)
-            yield ctx.charge(synthesis_pass_cost(4 * out_rows * cols, m))
-
-            # Row synthesis is fully local (rows are whole within a stripe).
-            current = synthesize_axis(low, bank.lowpass, 1) + synthesize_axis(
-                high, bank.highpass, 1
-            )
-            yield ctx.charge(synthesis_pass_cost(2 * out_rows * 2 * cols, m))
+                front_guard = [b[:0] for b in bands]
+            if s_back > 0:
+                back_guard = yield ctx.recv(south, tag=_TAG_GUARD_BACK)
+            else:
+                back_guard = [b[:0] for b in bands]
         else:
-            from repro.wavelet.lifting import (
-                lifting_synthesize_axis,
-                lifting_synthesize_axis_valid,
-            )
+            front_guard = [b[rows - s_front :] for b in bands]
+            back_guard = [b[:s_back] for b in bands]
+        ext = [
+            np.vstack([front_guard[i], bands[i], back_guard[i]])
+            for i in range(4)
+        ]
 
-            bands = (current, lh, hl, hh)
-            if nranks > 1:
-                if s_front > 0:
-                    bottom = np.stack([b[rows - s_front :] for b in bands])
-                    yield ctx.send(south, bottom, tag=_TAG_GUARD)
-                if s_back > 0:
-                    top = np.stack([b[:s_back] for b in bands])
-                    yield ctx.send(north, top, tag=_TAG_GUARD_BACK)
-                if s_front > 0:
-                    front_guard = yield ctx.recv(north, tag=_TAG_GUARD)
-                else:
-                    front_guard = [b[:0] for b in bands]
-                if s_back > 0:
-                    back_guard = yield ctx.recv(south, tag=_TAG_GUARD_BACK)
-                else:
-                    back_guard = [b[:0] for b in bands]
-            else:
-                front_guard = [b[rows - s_front :] for b in bands]
-                back_guard = [b[:s_back] for b in bands]
-            ext = [
-                np.vstack([front_guard[i], bands[i], back_guard[i]])
-                for i in range(4)
-            ]
+        # Column inverse: (LL, LH) -> low rows, (HL, HH) -> high rows.
+        low = impl.synthesize_valid(ext[0], ext[1], bank, 0, out_rows, s_front)
+        high = impl.synthesize_valid(ext[2], ext[3], bank, 0, out_rows, s_front)
+        yield ctx.charge(impl.synthesis_pass_cost(2 * out_rows * cols, bank))
 
-            # Column inverse: (LL, LH) -> low rows, (HL, HH) -> high rows.
-            low = lifting_synthesize_axis_valid(ext[0], ext[1], scheme, 0, out_rows, s_front)
-            high = lifting_synthesize_axis_valid(ext[2], ext[3], scheme, 0, out_rows, s_front)
-            yield ctx.charge(lifting_pass_cost(2 * out_rows * cols, scheme.step_taps))
-
-            # Row inverse is fully local (periodized along the row axis).
-            current = lifting_synthesize_axis(low, high, scheme, axis=1)
-            yield ctx.charge(lifting_pass_cost(out_rows * 2 * cols, scheme.step_taps))
+        # Row inverse is fully local (rows are whole within a stripe).
+        current = impl.synthesize(low, high, bank, 1)
+        yield ctx.charge(impl.synthesis_pass_cost(out_rows * 2 * cols, bank))
 
     if collect and nranks > 1:
         if rank == 0:

@@ -167,9 +167,9 @@ def single_loop_analyze_valid(
     the owned tile — output ``(i, j)`` corresponds to input offset
     ``(2i, 2j)`` past the guards.  Raises :class:`ConfigurationError`
     when the guards are too shallow
-    (:meth:`repro.wavelet.plan.KernelPlan.analysis_guard_depths` gives
-    sufficient depths — the sweep's per-axis validity erosion is exactly
-    the separable lifting pass's).
+    (:meth:`repro.wavelet.kernels.WaveletKernel.analysis_guard_depths`
+    gives sufficient depths — the sweep's per-axis validity erosion is
+    exactly the separable lifting pass's).
     """
     ext = np.asarray(ext, dtype=np.float64)
     if ext.ndim != 2:
@@ -221,7 +221,7 @@ def single_loop_analyze_valid(
             raise ConfigurationError(
                 f"insufficient row guard for the single-loop sweep: need "
                 f"lane[{r0}:{r0 + out_rows}] valid, have [{r_lo}:{r_hi}) "
-                "(see KernelPlan.analysis_guard_depths)"
+                "(see WaveletKernel.analysis_guard_depths)"
             )
         if periodic_cols:
             if out_cols != lane.shape[1]:
@@ -237,7 +237,7 @@ def single_loop_analyze_valid(
                 raise ConfigurationError(
                     f"insufficient column guard for the single-loop sweep: "
                     f"need lane[{c0}:{c0 + out_cols}] valid, have "
-                    f"[{c_lo}:{c_hi}) (see KernelPlan.analysis_guard_depths)"
+                    f"[{c_lo}:{c_hi}) (see WaveletKernel.analysis_guard_depths)"
                 )
             seg = lane[r0 : r0 + out_rows, c0 : c0 + out_cols]
         bands.append((v[1] * h[1]) * seg)

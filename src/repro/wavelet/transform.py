@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.wavelet.conv import analyze_axis, synthesize_axis
 from repro.wavelet.filters import FilterBank
+from repro.wavelet.kernels import get_kernel
 
 __all__ = [
     "Subbands2D",
@@ -91,48 +91,17 @@ def mallat_step_2d(
     """One level of separable 2-D decomposition (steps 1-4 of the paper).
 
     ``kernel`` selects the implementation (``"conv"``, ``"lifting"``,
-    ``"fused"``/``"fused:N"``, or ``"single-loop"`` — see
-    :mod:`repro.wavelet.kernels`); the default keeps the seed
-    convolution path byte-for-byte.
+    ``"fused"``, or ``"single-loop"`` — see :mod:`repro.wavelet.kernels`);
+    the default keeps the seed convolution path byte-for-byte.
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ConfigurationError(f"expected a 2-D image, got ndim={image.ndim}")
-    if kernel != "conv":
-        from repro.wavelet.kernels import get_kernel
-
-        return get_kernel(kernel).forward_step_2d(image, bank)
-
-    # Steps 1-2: filter along rows (axis 1), decimating the column count.
-    low_rows = analyze_axis(image, bank.lowpass, axis=1)
-    high_rows = analyze_axis(image, bank.highpass, axis=1)
-
-    # Steps 3-4: filter along columns (axis 0), decimating the row count.
-    return Subbands2D(
-        ll=analyze_axis(low_rows, bank.lowpass, axis=0),
-        lh=analyze_axis(low_rows, bank.highpass, axis=0),
-        hl=analyze_axis(high_rows, bank.lowpass, axis=0),
-        hh=analyze_axis(high_rows, bank.highpass, axis=0),
-    )
+    return get_kernel(kernel).forward_step_2d(image, bank)
 
 
 def mallat_inverse_step_2d(
     subbands: Subbands2D, bank: FilterBank, *, kernel: str = "conv"
 ) -> np.ndarray:
     """Invert one decomposition level (the paper's Figure 2 reverse process)."""
-    if kernel != "conv":
-        from repro.wavelet.kernels import get_kernel
-
-        return get_kernel(kernel).inverse_step_2d(subbands, bank)
-    low_rows = synthesize_axis(subbands.ll, bank.lowpass, axis=0) + synthesize_axis(
-        subbands.lh, bank.highpass, axis=0
-    )
-    high_rows = synthesize_axis(subbands.hl, bank.lowpass, axis=0) + synthesize_axis(
-        subbands.hh, bank.highpass, axis=0
-    )
-    return synthesize_axis(low_rows, bank.lowpass, axis=1) + synthesize_axis(
-        high_rows, bank.highpass, axis=1
-    )
+    return get_kernel(kernel).inverse_step_2d(subbands, bank)
 
 
 def dwt_1d(
@@ -148,21 +117,11 @@ def dwt_1d(
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
         raise ConfigurationError(f"expected a 1-D signal, got ndim={signal.ndim}")
-    if kernel != "conv":
-        from repro.wavelet.kernels import get_kernel
-
-        impl = get_kernel(kernel)
-        details = []
-        approx = signal
-        for _ in range(levels):
-            approx, detail = impl.forward_1d(approx, bank)
-            details.append(detail)
-        return approx, details
+    impl = get_kernel(kernel)
     details: list[np.ndarray] = []
     approx = signal
     for _ in range(levels):
-        detail = analyze_axis(approx, bank.highpass, axis=0)
-        approx = analyze_axis(approx, bank.lowpass, axis=0)
+        approx, detail = impl.analyze(approx, bank, 0)
         details.append(detail)
     return approx, details
 
@@ -171,26 +130,13 @@ def idwt_1d(
     approx: np.ndarray, details: list, bank: FilterBank, *, kernel: str = "conv"
 ) -> np.ndarray:
     """Invert :func:`dwt_1d` given the approximation and the detail list."""
+    impl = get_kernel(kernel)
     signal = np.asarray(approx, dtype=np.float64)
-    if kernel != "conv":
-        from repro.wavelet.kernels import get_kernel
-
-        impl = get_kernel(kernel)
-        for detail in reversed(details):
-            if detail.shape != signal.shape:
-                raise ConfigurationError(
-                    f"detail shape {detail.shape} does not match running "
-                    f"approximation shape {signal.shape}"
-                )
-            signal = impl.inverse_1d(signal, detail, bank)
-        return signal
     for detail in reversed(details):
         if detail.shape != signal.shape:
             raise ConfigurationError(
                 f"detail shape {detail.shape} does not match running "
                 f"approximation shape {signal.shape}"
             )
-        signal = synthesize_axis(signal, bank.lowpass, axis=0) + synthesize_axis(
-            detail, bank.highpass, axis=0
-        )
+        signal = impl.synthesize(signal, detail, bank, 0)
     return signal

@@ -8,35 +8,29 @@ import json
 import textwrap
 
 import numpy as np
+import pytest
 
-import repro
 from repro.analysis import (
     DEFAULT_PROTOCOL_PROGRAMS,
     ProtocolProgram,
     check_protocol,
     concrete_channels,
     format_sarif,
-    lint_paths,
     lint_sources,
     validate_sarif,
 )
 from repro.analysis.linter import LintConfig
 from repro.analysis.rules import parse_suppressions
-from repro.analysis.sources import discover_package, modules_from_sources
+from repro.analysis.sources import modules_from_sources
 from repro.data import plummer_sphere, uniform_cube
-from repro.machines import Engine, paragon
+from repro.machines import Engine, paragon, tags
 from repro.machines.causality import observed_channels
 from repro.nbody.parallel import manager_worker_program
 from repro.pic import Grid3D
 from repro.pic.parallel import pic_program
-from repro.wavelet import filter_bank_for_length
-from repro.wavelet.parallel.decomposition import StripeDecomposition
-from repro.wavelet.parallel.spmd import striped_wavelet_program
-
-
-def _repo_modules():
-    root = repro.__file__.rsplit("/", 1)[0]
-    return discover_package(root)
+from repro.wavelet import KERNEL_NAMES, filter_bank_for_length, get_kernel
+from repro.wavelet.parallel.decomposition import BlockDecomposition, StripeDecomposition
+from repro.wavelet.parallel.spmd import block_wavelet_program, striped_wavelet_program
 
 
 def _proto_findings(sources, programs):
@@ -52,26 +46,30 @@ def _proto_findings(sources, programs):
 
 
 class TestRealProgramsCertify:
-    def test_all_registered_programs_extract_and_certify(self):
+    def test_all_registered_programs_extract_and_certify(self, repo_protocols):
         """The acceptance gate: every registered SPMD program — striped
         and block wavelet, 1-D forward/inverse, reconstruction, both
         n-body drivers, PIC — yields a protocol with zero PROTO-*
         findings: sends matched, deadlock-free, collectives uniform,
         guard depths on contract."""
-        findings, protocols = check_protocol(_repo_modules())
+        findings, protocols = repo_protocols
         assert findings == [], [f"{f.module}:{f.line} {f.rule_id}" for f in findings]
         assert {p.func for p in protocols} == {
             spec.func for spec in DEFAULT_PROTOCOL_PROGRAMS
         }
         # Each point-to-point program has matched channels; the deadlock
-        # proof is non-vacuous (there are blocking ops to order).
+        # proof is non-vacuous (there are blocking ops to order).  Every
+        # kernel's separable level shares one guard exchange, so the
+        # wavelet counts are: striped = distribute + back/front column
+        # guards + two sweep guards + collect; block adds the row guards
+        # and two sweep column guards.
         matched = {p.func: len(p.matches) for p in protocols}
-        assert matched["striped_wavelet_program"] == 7
-        assert matched["block_wavelet_program"] == 12
+        assert matched["striped_wavelet_program"] == 6
+        assert matched["block_wavelet_program"] == 10
         assert matched["manager_worker_program"] >= 2
 
-    def test_lint_protocol_repo_clean(self):
-        report = lint_paths(config=LintConfig(protocol=True))
+    def test_lint_protocol_repo_clean(self, repo_protocol_lint):
+        report = repo_protocol_lint
         assert report.findings == []
         assert report.exit_code == 0
 
@@ -221,12 +219,30 @@ class TestStaticSupersetOfTrace:
     """The verifier's validation discipline: its concrete expansion must
     cover every channel a recorded run used — exact on striped wavelet."""
 
-    def _protocols(self):
-        findings, protocols = check_protocol(_repo_modules())
+    @pytest.fixture
+    def protocols(self, repo_protocols):
+        findings, protocols = repo_protocols
         assert findings == []
         return {p.func: p for p in protocols}
 
-    def test_striped_wavelet_exact(self):
+    @staticmethod
+    def _wavelet_env(kernel, bank, **extra):
+        front, back = get_kernel(kernel).analysis_guard_depths(bank)
+        return {
+            "nranks": 4,
+            "distribute": True,
+            "collect": True,
+            "restore": None,
+            "checkpoint_interval": 0,
+            "sweep": kernel == "single-loop",
+            "m": bank.length,
+            "front": front,
+            "back": back,
+            **extra,
+        }
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_striped_wavelet_exact(self, protocols, kernel):
         bank = filter_bank_for_length(4)
         image = np.random.default_rng(0).normal(size=(64, 64))
         run = Engine(paragon(4), record_trace=True).run(
@@ -235,29 +251,53 @@ class TestStaticSupersetOfTrace:
             bank,
             1,
             StripeDecomposition(64, 64, 4, 1),
+            kernel=kernel,
         )
         dynamic = observed_channels(run.trace)
-        env = {
-            "kernel": "conv",
-            "nranks": 4,
-            "distribute": True,
-            "collect": True,
-            "restore": None,
-            "sweep": False,
-            "m": bank.length,
-            "front": 0,
-            "back": bank.length,
-            "rows": 16,
-            "checkpoint_interval": 0,
-        }
         static = concrete_channels(
-            self._protocols()["striped_wavelet_program"], 4, env
+            protocols["striped_wavelet_program"],
+            4,
+            self._wavelet_env(kernel, bank, rows=16),
         )
         assert dynamic == static  # superset, and exact
-        # Sanity on shape: one fan-out, one ring shift, one fan-in.
-        assert (0, 1, 1) in static and (2, 1, 3) in static and (3, 0, 4) in static
+        # Sanity on shape: one fan-out, one ring shift north, one fan-in.
+        back_tag = (
+            tags.WAVELET_SWEEP_GUARD if kernel == "single-loop" else tags.WAVELET_COL_GUARD
+        )
+        assert (0, 1, tags.WAVELET_DISTRIBUTE) in static
+        assert (2, 1, back_tag) in static
+        assert (3, 0, tags.WAVELET_COLLECT) in static
 
-    def test_nbody_manager_worker_superset(self):
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_block_wavelet_exact_on_grid(self, protocols, kernel):
+        bank = filter_bank_for_length(4)
+        image = np.random.default_rng(1).normal(size=(64, 64))
+        run = Engine(paragon(4), record_trace=True).run(
+            block_wavelet_program,
+            image,
+            bank,
+            1,
+            BlockDecomposition(64, 64, 2, 2, 1),
+            kernel=kernel,
+        )
+        dynamic = observed_channels(run.trace)
+        env = self._wavelet_env(
+            kernel, bank, rows=32, cols=32, **{"decomp.prows": 2, "decomp.pcols": 2}
+        )
+        static = concrete_channels(
+            protocols["block_wavelet_program"], 4, env, grid=(2, 2)
+        )
+        assert dynamic == static
+        # Row guards travel west along a grid row, column guards north.
+        row_tag = (
+            tags.WAVELET_SWEEP_COL_GUARD if kernel == "single-loop" else tags.WAVELET_ROW_GUARD
+        )
+        col_tag = (
+            tags.WAVELET_SWEEP_GUARD if kernel == "single-loop" else tags.WAVELET_COL_GUARD
+        )
+        assert (1, 0, row_tag) in static and (2, 0, col_tag) in static
+
+    def test_nbody_manager_worker_superset(self, protocols):
         run = Engine(paragon(4, protocol="nx"), record_trace=True).run(
             manager_worker_program, plummer_sphere(64, dim=2, seed=0), 1
         )
@@ -268,11 +308,11 @@ class TestStaticSupersetOfTrace:
             "restore": None,
             "integrator": "leapfrog",
         }
-        static = concrete_channels(self._protocols()["manager_worker_program"], 4, env)
+        static = concrete_channels(protocols["manager_worker_program"], 4, env)
         assert dynamic <= static
         assert {(r, 0, 11) for r in (1, 2, 3)} <= static
 
-    def test_pic_superset_and_final_gather(self):
+    def test_pic_superset_and_final_gather(self, protocols):
         run = Engine(paragon(4, protocol="nx"), record_trace=True).run(
             pic_program,
             Grid3D(8),
@@ -282,7 +322,7 @@ class TestStaticSupersetOfTrace:
         )
         dynamic = observed_channels(run.trace)
         env = {"nranks": 4, "collect": False, "poisson": "replicated"}
-        proto = self._protocols()["pic_program"]
+        proto = protocols["pic_program"]
         static = concrete_channels(proto, 4, env)
         assert dynamic <= static
         # With collection on, the user-tagged final gather appears as a

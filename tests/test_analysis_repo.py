@@ -8,8 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.analysis import lint_paths, lint_sources
-from repro.analysis.linter import LintConfig
+from repro.analysis import lint_sources
 from repro.data import plummer_sphere, uniform_cube
 from repro.errors import ConfigurationError
 from repro.machines import Engine, paragon
@@ -29,10 +28,10 @@ from repro.wavelet.parallel.spmd import striped_wavelet_program
 
 
 class TestRepoIsClean:
-    def test_lint_clean_with_empty_baseline(self):
+    def test_lint_clean_with_empty_baseline(self, repo_lint):
         """The gate the CI lint job enforces: zero unwaived findings and
         *no baseline needed* — the allowance file stays empty/absent."""
-        report = lint_paths()
+        report = repo_lint
         assert report.modules_checked > 80
         details = "\n".join(
             f"{f.path}:{f.line} [{f.rule_id}] {f.message}" for f in report.findings
@@ -41,10 +40,10 @@ class TestRepoIsClean:
         assert report.exit_code == 0
         assert report.baselined == []
 
-    def test_only_reviewed_suppressions_exist(self):
+    def test_only_reviewed_suppressions_exist(self, repo_lint):
         """Inline waivers are a reviewed set; growing it is a deliberate
         act, not an accident."""
-        report = lint_paths()
+        report = repo_lint
         waived = sorted((f.module, f.rule_id) for f in report.suppressed)
         assert waived == [
             # The wildcard scan in Engine._match reduces its dict walk to
@@ -131,12 +130,9 @@ class TestTagRegistry:
         assert all(v < USER_TAG_CEILING for v in REGISTRY.all_tags().values())
 
 
-def _static_race_candidates(module_names):
-    """COMM-WILDCARD-RECV findings for the given real modules."""
-    import repro
-
-    root = repro.__file__.rsplit("/", 1)[0]
-    report = lint_paths([root])
+def _static_race_candidates(report, module_names):
+    """COMM-WILDCARD-RECV findings of the repo lint ``report`` for the
+    given real modules."""
     return [
         f
         for f in report.findings + report.suppressed
@@ -148,12 +144,13 @@ class TestStaticSupersetOfDynamic:
     """Static race candidates must cover every dynamic race: a run can
     only exercise wildcard receives that exist in the source."""
 
-    def test_apps_zero_dynamic_races_zero_static_candidates(self):
+    def test_apps_zero_dynamic_races_zero_static_candidates(self, repo_lint):
         """All three applications: the dynamic detector certifies the
         traced runs race-free AND the static analysis finds no wildcard
         receive in their sources — the superset relation holds as
         empty ⊇ empty, with the stronger fact that it is exact."""
         candidates = _static_race_candidates(
+            repo_lint,
             {
                 "repro.wavelet.parallel.spmd",
                 "repro.nbody.parallel",

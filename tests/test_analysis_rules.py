@@ -393,6 +393,33 @@ class TestChargingRule:
         assert found[0].line == 6
         assert "analyze_axis" in found[0].message
 
+    @pytest.mark.parametrize(
+        "method",
+        ["analyze", "analyze_valid", "synthesize", "synthesize_valid", "sweep_valid"],
+    )
+    def test_uncharged_kernel_method_before_send(self, method):
+        # The SPMD programs filter through WaveletKernel methods; the
+        # rule must see those calls as kernels too.
+        report = lint(
+            {
+                "fix.charge": f"""\
+                    from repro.wavelet.kernels import get_kernel
+
+                    TAG = 7920
+
+                    def prog(ctx, block, bank):
+                        impl = get_kernel("lifting")
+                        lo, hi = impl.{method}(block, bank, 0)
+                        yield ctx.send(1, lo, tag=TAG)
+                        got = yield ctx.recv(1, tag=TAG)
+                        return got
+                    """,
+            }
+        )
+        found = hits(report, "CHG-UNCHARGED-KERNEL")
+        assert [f.line for f in found] == [7]
+        assert method in found[0].message
+
     def test_uncharged_kernel_at_end_of_body(self):
         report = lint(
             {

@@ -1,76 +1,51 @@
-"""Tests for the kernel plan/executor split (``repro.wavelet.plan``).
+"""Tests for the kernel registry and the per-kernel contracts.
 
-The plan layer owns spec parsing, the scheme/traversal/boundary/buffer
-axes, uniform minimum-size validation, guard depths, and the per-pass
-cost model; ``repro.wavelet.kernels`` executors are thin configurations
-of plans served fresh from factories.
+Each :mod:`repro.wavelet.kernels` kernel owns its arithmetic: the
+registry resolves exactly four names to fresh instances, and every
+kernel answers its own minimum image side, guard depths and per-pass
+costs, and validates its inputs at the kernel boundary.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.machines import paragon
+from repro.runtime import JobSpec, RunOptions, execute
 from repro.wavelet import (
     ConvKernel,
     FusedKernel,
     KERNEL_NAMES,
     LiftingKernel,
     SingleLoopKernel,
+    Subbands2D,
     daubechies_filter,
     get_kernel,
     haar_filter,
     lifting_scheme,
+    single_loop_sweep_cost,
 )
-from repro.wavelet.plan import (
-    BOUNDARIES,
-    BufferPolicy,
-    KernelPlan,
-    SCHEMES,
-    TRAVERSALS,
-    parse_kernel_spec,
-)
+from repro.wavelet.parallel.decomposition import StripeDecomposition
+from repro.wavelet.parallel.spmd import striped_wavelet_program
+from tests.test_kernel_cost_consistency import drive
 
 BANKS = [haar_filter(), daubechies_filter(4), daubechies_filter(8)]
+
+
+def _names_all_kernels(error) -> bool:
+    return all(repr(name) in str(error.value) for name in KERNEL_NAMES)
 
 
 class TestParse:
     def test_registered_names(self):
         assert KERNEL_NAMES == ("conv", "lifting", "fused", "single-loop")
 
-    def test_conv_plan_shape(self):
-        plan = parse_kernel_spec("conv")
-        assert plan.scheme == "conv"
-        assert plan.traversal == "separable"
-        assert plan.boundary == "periodized"
-        assert plan.buffer.kind == "full-intermediate"
-
-    def test_lifting_plan_shape(self):
-        plan = parse_kernel_spec("lifting")
-        assert plan.scheme == "lifting"
-        assert plan.traversal == "separable"
-        assert plan.buffer.kind == "full-intermediate"
-
-    def test_fused_plan_shape(self):
-        plan = parse_kernel_spec("fused")
-        assert plan.scheme == "lifting"
-        assert plan.traversal == "strip-fused"
-        assert plan.buffer == BufferPolicy("strip", block_rows=32)
-
     def test_fused_parameterized(self):
-        plan = parse_kernel_spec("fused:16")
-        assert plan.base == "fused"
-        assert plan.name == "fused:16"
-        assert plan.buffer.block_rows == 16
-
-    def test_single_loop_plan_shape(self):
-        plan = parse_kernel_spec("single-loop")
-        assert plan.scheme == "lifting"
-        assert plan.traversal == "single-loop"
-        assert plan.buffer.kind == "lane"
-
-    def test_axes_are_closed_vocabularies(self):
-        assert set(SCHEMES) == {"conv", "lifting"}
-        assert set(TRAVERSALS) == {"separable", "strip-fused", "single-loop"}
-        assert set(BOUNDARIES) == {"periodized", "valid-margins"}
+        # The strip height is a constant of the fused kernel, not a spec
+        # parameter: "fused:N" is rejected like any unknown name.
+        with pytest.raises(ConfigurationError) as error:
+            get_kernel("fused:16")
+        assert _names_all_kernels(error)
 
     @pytest.mark.parametrize(
         "spec",
@@ -79,42 +54,39 @@ class TestParse:
     )
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
-            parse_kernel_spec(spec)
+            get_kernel(spec)
 
     def test_non_string_spec_rejected(self):
-        with pytest.raises(ConfigurationError, match="must be a string"):
-            parse_kernel_spec(16)
+        with pytest.raises(ConfigurationError, match="unknown kernel 16"):
+            get_kernel(16)
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(ConfigurationError, match="single-loop"):
-            parse_kernel_spec("winograd")
+            get_kernel("winograd")
 
-    def test_conv_scheme_rejects_other_traversals(self):
-        with pytest.raises(ConfigurationError, match="separable"):
-            KernelPlan(
-                name="x", scheme="conv", traversal="single-loop",
-                boundary="periodized", buffer=BufferPolicy("lane"),
-            )
-
-    def test_strip_policy_requires_block_rows(self):
-        with pytest.raises(ConfigurationError):
-            BufferPolicy("strip", block_rows=0)
+    def test_job_spec_rejects_parameterized_kernel(self):
+        spec = JobSpec(
+            program="wavelet",
+            params={"image": np.zeros((32, 32)), "bank": haar_filter(), "levels": 1},
+            options=RunOptions(kernel="fused:16"),
+        )
+        with pytest.raises(ConfigurationError) as error:
+            execute(paragon(4), spec)
+        assert _names_all_kernels(error)
 
 
 class TestRegistry:
     def test_factories_return_fresh_instances(self):
-        # A singleton would leak per-instance state between callers.
         a = get_kernel("fused")
         b = get_kernel("fused")
         assert a is not b
         assert type(a) is FusedKernel
 
     def test_instances_pass_through(self):
-        kernel = FusedKernel(block_rows=8)
+        kernel = FusedKernel()
         assert get_kernel(kernel) is kernel
 
     def test_spec_reaches_executor_configuration(self):
-        assert get_kernel("fused:16").block_rows == 16
         assert get_kernel("fused").block_rows == 32
 
     def test_every_name_resolves_to_its_class(self):
@@ -127,7 +99,7 @@ class TestRegistry:
         for name, cls in classes.items():
             kernel = get_kernel(name)
             assert type(kernel) is cls
-            assert kernel.plan.base == name
+            assert kernel.name == name
 
     def test_malformed_spec_surfaces_through_get_kernel(self):
         with pytest.raises(ConfigurationError):
@@ -137,45 +109,50 @@ class TestRegistry:
 class TestMinSize:
     @pytest.mark.parametrize("name", ["conv", "lifting", "fused", "single-loop"])
     def test_min_size_guard_is_uniform_and_actionable(self, name):
-        import numpy as np
-
         bank = daubechies_filter(8)
-        plan = parse_kernel_spec(name)
-        need = plan.min_side(bank)
+        need = get_kernel(name).min_side(bank)
         small = np.zeros((need - 2 + (need % 2), 32))
         with pytest.raises(ConfigurationError, match="minimum image is"):
             get_kernel(name).forward_step_2d(small, bank)
 
     def test_odd_dimensions_rejected(self):
-        import numpy as np
-
         bank = haar_filter()
         with pytest.raises(ConfigurationError, match="even"):
             get_kernel("single-loop").forward_step_2d(np.zeros((7, 8)), bank)
 
     def test_conv_min_side_is_filter_length(self):
         for bank in BANKS:
-            assert parse_kernel_spec("conv").min_side(bank) == bank.length
+            assert ConvKernel().min_side(bank) == bank.length
 
     def test_lifting_family_shares_effective_length(self):
         for bank in BANKS:
             need = lifting_scheme(bank).filter_length
             for name in ("lifting", "fused", "single-loop"):
-                assert parse_kernel_spec(name).min_side(bank) == need
+                assert get_kernel(name).min_side(bank) == need
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_shape_errors_raised_at_the_kernel_boundary(self, name):
+        kernel, bank = get_kernel(name), daubechies_filter(4)
+        for bad in (np.zeros(16), np.zeros((16, 16, 2))):
+            with pytest.raises(ConfigurationError, match="2-D image"):
+                kernel.forward_step_2d(bad, bank)
+        ragged = Subbands2D(
+            ll=np.zeros((8, 8)), lh=np.zeros((8, 8)),
+            hl=np.zeros((8, 8)), hh=np.zeros((8, 6)),
+        )
+        with pytest.raises(ConfigurationError, match="subbands of one shape"):
+            kernel.inverse_step_2d(ragged, bank)
 
 
 class TestGuardDepths:
     def test_conv_guards(self):
         for bank in BANKS:
-            assert parse_kernel_spec("conv").analysis_guard_depths(bank) == (
-                0,
-                bank.length,
-            )
+            assert ConvKernel().analysis_guard_depths(bank) == (0, bank.length)
 
     def test_lifting_family_guards_agree_and_preserve_parity(self):
         for bank in BANKS:
             depths = {
-                name: parse_kernel_spec(name).analysis_guard_depths(bank)
+                name: get_kernel(name).analysis_guard_depths(bank)
                 for name in ("lifting", "fused", "single-loop")
             }
             assert len(set(depths.values())) == 1
@@ -187,44 +164,36 @@ class TestCostModel:
     @pytest.mark.parametrize("bank", BANKS, ids=lambda b: b.name)
     def test_separable_traversals_charge_two_passes(self, bank):
         for name in ("conv", "lifting", "fused"):
-            passes = parse_kernel_spec(name).level_passes(64, 96, bank)
-            assert len(passes) == 2
+            kernel = get_kernel(name)
+            row_pass = kernel.analysis_pass_cost(2 * 64 * 48, bank)
+            col_pass = kernel.analysis_pass_cost(4 * 32 * 48, bank)
+            assert kernel.level_cost(64, 96, bank) == row_pass + col_pass
 
     @pytest.mark.parametrize("bank", BANKS, ids=lambda b: b.name)
     def test_single_loop_charges_one_sweep(self, bank):
-        from repro.wavelet import single_loop_sweep_cost
-
-        plan = parse_kernel_spec("single-loop")
-        passes = plan.level_passes(64, 96, bank)
-        assert len(passes) == 1
         taps = lifting_scheme(bank).step_taps
-        assert passes[0] == single_loop_sweep_cost(64, 96, taps)
+        assert get_kernel("single-loop").level_cost(64, 96, bank) == (
+            single_loop_sweep_cost(64, 96, taps)
+        )
 
     @pytest.mark.parametrize("bank", BANKS, ids=lambda b: b.name)
     def test_level_cost_sums_passes(self, bank):
+        # On a non-square level, a kernel's level cost is the sum of the
+        # passes the striped program charges for that level.
+        image = np.random.RandomState(4).standard_normal((64, 96))
+        decomp = StripeDecomposition(64, 96, 1, 1)
         for name in KERNEL_NAMES:
-            plan = parse_kernel_spec(name)
-            total = plan.level_cost(64, 96, bank)
-            summed = sum(
-                (op for op in plan.level_passes(64, 96, bank)), start=type(total)()
-            )
-            assert total == summed
+            ctx = drive(striped_wavelet_program, image, bank, 1, decomp, kernel=name)
+            total = sum(ctx.charged[1:], start=ctx.charged[0])
+            assert total == get_kernel(name).level_cost(64, 96, bank)
 
     @pytest.mark.parametrize("bank", BANKS, ids=lambda b: b.name)
     def test_single_loop_strictly_cheaper_than_separable_lifting(self, bank):
-        sweep = parse_kernel_spec("single-loop").level_cost(64, 64, bank)
-        separable = parse_kernel_spec("lifting").level_cost(64, 64, bank)
+        sweep = get_kernel("single-loop").level_cost(64, 64, bank)
+        separable = get_kernel("lifting").level_cost(64, 64, bank)
         assert sweep.flops < separable.flops
         assert sweep.memops < separable.memops
 
-    def test_kernel_cost_methods_delegate_to_plan(self):
-        bank = daubechies_filter(4)
-        for name in KERNEL_NAMES:
-            kernel = get_kernel(name)
-            assert kernel.level_cost(32, 32, bank) == kernel.plan.level_cost(
-                32, 32, bank
-            )
-
-    def test_level_passes_rejects_odd_input(self):
+    def test_level_cost_rejects_odd_input(self):
         with pytest.raises(ConfigurationError):
-            parse_kernel_spec("lifting").level_passes(33, 32, haar_filter())
+            get_kernel("lifting").level_cost(33, 32, haar_filter())

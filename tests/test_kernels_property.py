@@ -30,7 +30,7 @@ from repro.wavelet import (
 from repro.errors import ConfigurationError
 
 filter_lengths = st.sampled_from([2, 4, 8])
-kernels = st.sampled_from(["lifting", "fused", "fused:16", "single-loop"])
+kernels = st.sampled_from(["lifting", "fused", "single-loop"])
 
 
 def images(side_pows=(4, 5)):

@@ -18,6 +18,7 @@ from repro.machines.specs import paragon
 from repro.wavelet import (
     dwt_1d,
     filter_bank_for_length,
+    get_kernel,
     idwt_1d,
     lifting_scheme,
     mallat_decompose_2d,
@@ -161,11 +162,9 @@ class TestSequentialEquivalence:
 class TestValidMode:
     @pytest.mark.parametrize("m", BANK_LENGTHS)
     def test_periodic_extension_reproduces_periodized_interior(self, m):
-        from repro.wavelet.plan import parse_kernel_spec
-
         bank = filter_bank_for_length(m)
         scheme = lifting_scheme(bank)
-        front, back = parse_kernel_spec("single-loop").analysis_guard_depths(bank)
+        front, back = get_kernel("single-loop").analysis_guard_depths(bank)
         image = RandomState(50 + m).standard_normal((64, 48))
         ref = single_loop_analyze_2d(image, scheme)
 

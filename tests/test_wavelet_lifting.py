@@ -11,6 +11,7 @@ from repro.wavelet import (
     daubechies_filter,
     dwt_1d,
     filter_bank_for_length,
+    get_kernel,
     haar_filter,
     lifting_analyze_axis,
     lifting_analyze_axis_valid,
@@ -21,10 +22,6 @@ from repro.wavelet import (
     mallat_reconstruct_2d,
 )
 from repro.wavelet.parallel import run_spmd_wavelet, simd_mallat_decompose
-from repro.wavelet.parallel.decomposition import (
-    analysis_guard_depths,
-    synthesis_guard_depths,
-)
 from repro.wavelet.parallel.spmd_1d import run_spmd_dwt_1d, run_spmd_idwt_1d
 from repro.wavelet.parallel.spmd_reconstruct import run_spmd_reconstruct
 
@@ -86,13 +83,14 @@ class TestFactorization:
         data = rng.standard_normal(n)
         scheme = lifting_scheme(bank)
         ref_a, ref_d = lifting_analyze_axis(data, scheme, axis=0)
-        front, back = analysis_guard_depths(bank, "lifting")
+        lifting = get_kernel("lifting")
+        front, back = lifting.analysis_guard_depths(bank)
         ext = np.concatenate([data[n - front :], data, data[:back]])
         a, d = lifting_analyze_axis_valid(ext, scheme, 0, n // 2, front)
         assert np.abs(a - ref_a).max() < 1e-12
         assert np.abs(d - ref_d).max() < 1e-12
 
-        s_front, s_back = synthesis_guard_depths(bank, "lifting")
+        s_front, s_back = lifting.synthesis_guard_depths(bank)
         half = n // 2
         ext_a = np.concatenate([ref_a[half - s_front :], ref_a, ref_a[:s_back]])
         ext_d = np.concatenate([ref_d[half - s_front :], ref_d, ref_d[:s_back]])
@@ -124,16 +122,17 @@ class TestFactorization:
 class TestGuardDepths:
     def test_conv_depths_keep_seed_convention(self):
         bank = daubechies_filter(8)
-        assert analysis_guard_depths(bank) == (0, bank.length)
-        assert synthesis_guard_depths(bank) == (bank.length // 2, 0)
+        conv = get_kernel("conv")
+        assert conv.analysis_guard_depths(bank) == (0, bank.length)
+        assert conv.synthesis_guard_depths(bank) == (bank.length // 2, 0)
 
     @pytest.mark.parametrize("bank", BANKS, ids=lambda b: b.name)
     def test_lifting_depths_match_scheme_margins(self, bank):
         scheme = lifting_scheme(bank)
-        front, back = analysis_guard_depths(bank, "lifting")
+        front, back = get_kernel("lifting").analysis_guard_depths(bank)
         sfront, sback = scheme.analysis_margins
         assert (front, back) == (sfront, sback + sback % 2)
-        assert synthesis_guard_depths(bank, "fused") == scheme.synthesis_margins
+        assert get_kernel("fused").synthesis_guard_depths(bank) == scheme.synthesis_margins
 
 
 class TestSpmdLifting:
