@@ -123,10 +123,10 @@ def analyze_axis_valid(
 
     Computes ``out[n] = sum_k taps[k] * data[2n + k]`` for ``n`` in
     ``[0, out_len)``.  This is the primitive the coarse-grain SPMD
-    decomposition uses on a local stripe extended by its guard zone: the
-    guard rows supply exactly the samples that periodization (or the
-    neighbor) would, so stitching the per-rank outputs reproduces the
-    sequential periodized transform bit-for-bit.
+    decomposition and the sequential 2-D strips use on a stripe extended
+    by its guard zone: the guard rows supply exactly the samples that
+    periodization (or the neighbor) would, so stitching the outputs
+    reproduces the periodized transform bit-for-bit.
     """
     taps = _as_f64(taps)
     data = _as_f64(data)

@@ -9,12 +9,8 @@ the seed implementation, byte-for-byte preserved):
 * ``"lifting"`` — the factored scheme of :mod:`repro.wavelet.lifting`:
   roughly half the multiply-adds, both subbands in one in-place pass over
   the even/odd lanes.
-* ``"fused"`` — lifting arithmetic with the 2-D row and column passes
-  fused into one strip-blocked sweep: each block of output rows pulls only
-  the input rows it needs (plus the scheme's guard margins), runs the row
-  pass on that strip, and immediately column-transforms it — the full-height
-  L/H intermediate images are never materialized, so the working set stays
-  cache-sized.
+* ``"fused"`` — the lifting kernel under the name of the strip-fused
+  traversal it introduced, which every separable kernel now runs.
 * ``"single-loop"`` — the monolithic sweep of
   :mod:`repro.wavelet.singleloop`: the image is split once into its four
   polyphase lanes and every lifting step runs along both axes before the
@@ -28,10 +24,15 @@ guard-extended segment whose first ``front`` samples come from the
 preceding neighbor (:meth:`~WaveletKernel.analyze_valid`,
 :meth:`~WaveletKernel.synthesize_valid` — what the SPMD programs run),
 the guard depths those passes need, the :class:`~repro.wavelet.cost.OpCount`
-one pass charges, and the smallest image a 2-D step accepts.  The base
-class builds the separable 2-D step (row pass, then column pass) from the
-per-axis passes and validates every kernel's inputs the same way; the
-fused and single-loop kernels override only the 2-D traversal.
+one pass charges, and the smallest image a 2-D step accepts.
+
+The base class validates every kernel's inputs the same way and runs the
+separable 2-D step in strips (Barina et al.): each block of 32 coarse
+rows row-transforms only the input rows it needs plus the guard margins,
+then column-transforms them in valid mode, so no full-height L/H image is
+built.  Each output gets the same products in the same tap order as in a
+whole-image row pass then column pass.  Single-loop overrides the 2-D
+traversal.
 
 :func:`get_kernel` resolves one of the four names to a fresh instance;
 anything else raises :class:`~repro.errors.ConfigurationError`.
@@ -90,6 +91,8 @@ class WaveletKernel:
     """
 
     name = "abstract"
+    #: Coarse output rows per strip of the separable 2-D traversal.
+    block_rows = 32
 
     # -- per-axis arithmetic (one scheme per subclass) -----------------------
 
@@ -164,20 +167,13 @@ class WaveletKernel:
             raise ConfigurationError(
                 f"image dimensions must be even for decimation, got {rows}x{cols}"
             )
-        need = self.min_side(bank)
-        if min(rows, cols) < need:
-            raise ConfigurationError(
-                f"image {rows}x{cols} is too small for the {self.name!r} kernel "
-                f"with the {bank.length}-tap {bank.name} bank: both sides must "
-                f"be at least {need} (and even), so the minimum image is "
-                f"{need + need % 2}x{need + need % 2}"
-            )
+        self._check_min_side(rows, cols, bank)
         ll, lh, hl, hh = self._analyze_2d(image, bank)
         return Subbands2D(ll=ll, lh=lh, hl=hl, hh=hh)
 
     def inverse_step_2d(self, subbands, bank: FilterBank) -> np.ndarray:
-        """Invert :meth:`forward_step_2d`; the four subbands must be 2-D
-        and of one shape."""
+        """Invert :meth:`forward_step_2d`; the four subbands must be 2-D,
+        of one shape, and synthesize an image the forward step accepts."""
         bands = [
             np.asarray(b, dtype=np.float64)
             for b in (subbands.ll, subbands.lh, subbands.hl, subbands.hh)
@@ -187,17 +183,46 @@ class WaveletKernel:
                 "expected four 2-D subbands of one shape, got "
                 f"{[b.shape for b in bands]}"
             )
+        self._check_min_side(*(2 * n for n in bands[0].shape), bank)
         return self._synthesize_2d(*bands, bank)
 
+    def _check_min_side(self, rows: int, cols: int, bank: FilterBank) -> None:
+        need = self.min_side(bank)
+        if min(rows, cols) < need:
+            raise ConfigurationError(
+                f"image {rows}x{cols} is too small for the {self.name!r} kernel "
+                f"with the {bank.length}-tap {bank.name} bank: both sides must "
+                f"be at least {need} (and even), so the minimum image is "
+                f"{need + need % 2}x{need + need % 2}"
+            )
+
     def _analyze_2d(self, image: np.ndarray, bank: FilterBank) -> tuple:
-        """Separable traversal: row pass (axis 1), then column pass."""
-        low, high = self.analyze(image, bank, 1)
-        return (*self.analyze(low, bank, 0), *self.analyze(high, bank, 0))
+        """Strip traversal: periodized row pass, valid-mode column pass."""
+        rows, cols = image.shape
+        front, back = self.analysis_guard_depths(bank)
+        half_rows, half_cols = rows // 2, cols // 2
+        ll, lh, hl, hh = (np.empty((half_rows, half_cols)) for _ in range(4))
+        for r0 in range(0, half_rows, self.block_rows):
+            r1 = min(half_rows, r0 + self.block_rows)
+            need = np.arange(2 * r0 - front, 2 * r1 + back) % rows
+            low, high = self.analyze(image[need], bank, 1)
+            ll[r0:r1], lh[r0:r1] = self.analyze_valid(low, bank, 0, r1 - r0, front)
+            hl[r0:r1], hh[r0:r1] = self.analyze_valid(high, bank, 0, r1 - r0, front)
+        return ll, lh, hl, hh
 
     def _synthesize_2d(self, ll, lh, hl, hh, bank: FilterBank) -> np.ndarray:
-        low = self.synthesize(ll, lh, bank, 0)
-        high = self.synthesize(hl, hh, bank, 0)
-        return self.synthesize(low, high, bank, 1)
+        """Strip traversal: valid-mode column pass, periodized row pass."""
+        half_rows, half_cols = ll.shape
+        rows = 2 * half_rows
+        front, back = self.synthesis_guard_depths(bank)
+        image = np.empty((rows, 2 * half_cols))
+        for j0 in range(0, rows, 2 * self.block_rows):
+            j1 = min(rows, j0 + 2 * self.block_rows)
+            seg = np.arange(j0 // 2 - front, (j1 + 1) // 2 + back) % half_rows
+            low = self.synthesize_valid(ll[seg], lh[seg], bank, 0, j1 - j0, front)
+            high = self.synthesize_valid(hl[seg], hh[seg], bank, 0, j1 - j0, front)
+            image[j0:j1] = self.synthesize(low, high, bank, 1)
+        return image
 
 
 class ConvKernel(WaveletKernel):
@@ -291,42 +316,10 @@ class LiftingKernel(WaveletKernel):
 
 
 class FusedKernel(LiftingKernel):
-    """Lifting arithmetic with the 2-D row/column passes strip-fused.
-
-    ``block_rows`` coarse output rows are produced per sweep; the strip's
-    working set is about ``(2 * block_rows + margins) * cols`` doubles.
-    The per-axis passes, guard depths and costs are the lifting kernel's —
-    fusion changes traversal order, not arithmetic.
-    """
+    """The lifting kernel under its former name: its strip traversal is
+    now every separable kernel's."""
 
     name = "fused"
-    block_rows = 32
-
-    def _analyze_2d(self, image, bank):
-        rows, cols = image.shape
-        front, back = self.analysis_guard_depths(bank)
-        half_rows, half_cols = rows // 2, cols // 2
-        ll, lh, hl, hh = (np.empty((half_rows, half_cols)) for _ in range(4))
-        for r0 in range(0, half_rows, self.block_rows):
-            r1 = min(half_rows, r0 + self.block_rows)
-            need = np.arange(2 * r0 - front, 2 * r1 + back) % rows
-            low, high = self.analyze(image[need], bank, 1)
-            ll[r0:r1], lh[r0:r1] = self.analyze_valid(low, bank, 0, r1 - r0, front)
-            hl[r0:r1], hh[r0:r1] = self.analyze_valid(high, bank, 0, r1 - r0, front)
-        return ll, lh, hl, hh
-
-    def _synthesize_2d(self, ll, lh, hl, hh, bank):
-        half_rows, half_cols = ll.shape
-        rows = 2 * half_rows
-        front, back = self.synthesis_guard_depths(bank)
-        image = np.empty((rows, 2 * half_cols))
-        for j0 in range(0, rows, 2 * self.block_rows):
-            j1 = min(rows, j0 + 2 * self.block_rows)
-            seg = np.arange(j0 // 2 - front, (j1 + 1) // 2 + back) % half_rows
-            low = self.synthesize_valid(ll[seg], lh[seg], bank, 0, j1 - j0, front)
-            high = self.synthesize_valid(hl[seg], hh[seg], bank, 0, j1 - j0, front)
-            image[j0:j1] = self.synthesize(low, high, bank, 1)
-        return image
 
 
 class SingleLoopKernel(LiftingKernel):

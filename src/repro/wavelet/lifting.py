@@ -29,8 +29,8 @@ transposed.  A periodized step splits each tap into a direct slice and a
 wrapped slice (the samples past the end of the lane come from its
 front), so no periodic extension of a lane is built.  The same step
 primitives (:func:`_circular_step`, :func:`_circular_shift`,
-:func:`_valid_step`) drive the separable passes here, the strip-fused
-kernel and the single-loop sweep of :mod:`repro.wavelet.singleloop`.
+:func:`_valid_step`) drive the separable passes here (and so the 2-D
+strips) and the single-loop sweep of :mod:`repro.wavelet.singleloop`.
 Valid-mode application tracks the exact interval of valid lane samples
 through every step and raises when the caller's guard margins are
 insufficient — the SPMD programs size their guard exchanges from
@@ -501,7 +501,7 @@ def lifting_synthesize_axis(
 
 
 # --------------------------------------------------------------------------
-# Valid-mode application (guard-zone SPMD / fused blocking)
+# Valid-mode application (guard-zone SPMD / 2-D strips)
 # --------------------------------------------------------------------------
 
 

@@ -110,8 +110,8 @@ def striped_wavelet_program(
     column pass its valid-mode pass over guards sized by
     :meth:`~repro.wavelet.kernels.WaveletKernel.analysis_guard_depths`,
     adding a front-guard exchange toward the south neighbor when the
-    front depth is nonzero (fusion is a sequential cache-locality detail,
-    so ``"fused"`` behaves like ``"lifting"`` here).  ``"single-loop"``
+    front depth is nonzero (``"fused"`` is ``"lifting"`` under another
+    name, here as in the sequential step).  ``"single-loop"``
     exchanges row guards of the *raw* stripe instead (same depths — the
     sweep's row erosion equals the separable column pass's) and runs one
     monolithic valid-rows/periodized-columns sweep per level, charged as a

@@ -22,6 +22,7 @@ from repro.wavelet import (
     daubechies_filter,
     get_kernel,
     haar_filter,
+    idwt_1d,
     lifting_scheme,
     single_loop_sweep_cost,
 )
@@ -142,6 +143,19 @@ class TestMinSize:
         )
         with pytest.raises(ConfigurationError, match="subbands of one shape"):
             kernel.inverse_step_2d(ragged, bank)
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_inverse_rejects_what_the_forward_step_refuses(self, name):
+        # Subbands that synthesize a side shorter than the filter, and
+        # empty ones, fail at the boundary like the forward step does.
+        kernel, bank = get_kernel(name), daubechies_filter(8)
+        for shape in ((0, 0), (2, 8), (3, 4), (8, 3)):
+            bands = Subbands2D(*(np.zeros(shape) for _ in range(4)))
+            with pytest.raises(ConfigurationError, match="minimum image is 8x8"):
+                kernel.inverse_step_2d(bands, bank)
+        for length in (0, 2, 3):
+            with pytest.raises(ConfigurationError, match="synthesizes fewer"):
+                idwt_1d(np.zeros(length), [np.zeros(length)], bank, kernel=name)
 
 
 class TestGuardDepths:
