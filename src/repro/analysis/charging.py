@@ -60,9 +60,8 @@ DEFAULT_KERNEL_CALLS = frozenset(
         "lifting_analyze_axis_valid",
         "lifting_synthesize_axis",
         "lifting_synthesize_axis_valid",
-        "single_loop_analyze_2d",
         "single_loop_analyze_valid",
-        "single_loop_synthesize_2d",
+        "single_loop_synthesize_valid",
         "tree_forces",
         "build_tree",
         "deposit_cic",

@@ -33,6 +33,7 @@ The four built-in programs mirror the legacy drivers:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -154,10 +155,26 @@ def build_launch(spec: JobSpec, nranks: int) -> Launch:
 # --------------------------------------------------------------------------
 
 
+def _int_param(spec: JobSpec, key: str, minimum: int, default=None) -> int:
+    """An integral program parameter of at least ``minimum``; a missing
+    or fractional value is rejected, not truncated."""
+    value = spec.param(key, default)
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"program {spec.program!r} needs an integer {key!r}, got {value!r}"
+        ) from None
+    if count < minimum:
+        raise ConfigurationError(f"{key} must be >= {minimum}, got {count}")
+    return count
+
+
 def _build_wavelet(spec: JobSpec, nranks: int) -> Launch:
     import numpy as np
 
     from repro.errors import DecompositionError
+    from repro.wavelet.filters import FilterBank
     from repro.wavelet.kernels import get_kernel
     from repro.wavelet.parallel.decomposition import (
         BlockDecomposition,
@@ -172,9 +189,16 @@ def _build_wavelet(spec: JobSpec, nranks: int) -> Launch:
     )
 
     opts = spec.options
+    missing = [key for key in ("image", "bank", "levels") if key not in spec.params]
+    if missing:
+        raise ConfigurationError(f"program 'wavelet' needs params {missing}")
     image = np.asarray(spec.params["image"], dtype=np.float64)
+    if image.ndim != 2:
+        raise ConfigurationError(f"expected a 2-D image, got shape {image.shape}")
     bank = spec.params["bank"]
-    levels = int(spec.params["levels"])
+    if not isinstance(bank, FilterBank):
+        raise ConfigurationError(f"bank must be a FilterBank, got {bank!r}")
+    levels = _int_param(spec, "levels", 1)
     distribute = bool(spec.param("distribute", True))
     collect = bool(spec.param("collect", True))
     get_kernel(opts.kernel)  # rejects unknown kernels up front
@@ -233,7 +257,7 @@ def _build_nbody(spec: JobSpec, nranks: int) -> Launch:
 
     opts = spec.options
     particles = spec.params["particles"]
-    steps = int(spec.params["steps"])
+    steps = _int_param(spec, "steps", 0)
     model = spec.param("model", "manager_worker")
     programs = {
         "manager_worker": manager_worker_program,
@@ -283,7 +307,7 @@ def _build_pic(spec: JobSpec, nranks: int) -> Launch:
     opts = spec.options
     grid = spec.params["grid"]
     particles = spec.params["particles"]
-    steps = int(spec.params["steps"])
+    steps = _int_param(spec, "steps", 0)
     kwargs = {
         key: value
         for key, value in spec.params.items()
@@ -342,9 +366,7 @@ def _workload_program(ctx, mix_counts: dict, repeats: int, collective: str = "rd
 def _build_workload(spec: JobSpec, nranks: int) -> Launch:
     opts = spec.options
     trace = spec.params["trace"]
-    repeats = int(spec.param("repeats", 1))
-    if repeats < 1:
-        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
+    repeats = _int_param(spec, "repeats", 1, default=1)
     # Map the five-type workload mix onto the engine's three cost buckets
     # (control/branch instructions execute on the integer units).
     mix = trace.type_mix()

@@ -12,10 +12,10 @@ the seed implementation, byte-for-byte preserved):
 * ``"fused"`` — the lifting kernel under the name of the strip-fused
   traversal it introduced, which every separable kernel now runs.
 * ``"single-loop"`` — the monolithic sweep of
-  :mod:`repro.wavelet.singleloop`: the image is split once into its four
-  polyphase lanes and every lifting step runs along both axes before the
-  next, so each pixel is visited once per level and no intermediate
-  subband image exists at all.
+  :mod:`repro.wavelet.singleloop`: each strip's rows are split once into
+  their four polyphase lanes and every lifting step runs along both axes
+  before the next, so each pixel is visited once per level and no
+  intermediate subband image exists at all.
 
 A kernel is the only code that knows its arithmetic.  Per axis it offers
 the periodized passes (:meth:`~WaveletKernel.analyze`,
@@ -26,13 +26,14 @@ preceding neighbor (:meth:`~WaveletKernel.analyze_valid`,
 the guard depths those passes need, the :class:`~repro.wavelet.cost.OpCount`
 one pass charges, and the smallest image a 2-D step accepts.
 
-The base class validates every kernel's inputs the same way and runs the
-separable 2-D step in strips (Barina et al.): each block of 32 coarse
-rows row-transforms only the input rows it needs plus the guard margins,
-then column-transforms them in valid mode, so no full-height L/H image is
-built.  Each output gets the same products in the same tap order as in a
-whole-image row pass then column pass.  Single-loop overrides the 2-D
-traversal.
+The base class validates every kernel's inputs the same way and runs
+every kernel's 2-D step in strips (Barina et al.): each block of 32
+coarse rows gathers only the input rows it needs plus the guard margins
+and transforms them in one per-strip method — the row pass, then the
+column pass in valid mode, so no full-height L/H image is built.
+Single-loop overrides only the per-strip methods, with its valid-mode
+sweep and inverse sweep.  Each output gets the same products in the
+same step and tap order as in the kernel's whole-image level.
 
 :func:`get_kernel` resolves one of the four names to a fresh instance;
 anything else raises :class:`~repro.errors.ConfigurationError`.
@@ -65,9 +66,8 @@ from repro.wavelet.lifting import (
     lifting_synthesize_axis_valid,
 )
 from repro.wavelet.singleloop import (
-    single_loop_analyze_2d,
     single_loop_analyze_valid,
-    single_loop_synthesize_2d,
+    single_loop_synthesize_valid,
 )
 
 __all__ = [
@@ -197,7 +197,8 @@ class WaveletKernel:
             )
 
     def _analyze_2d(self, image: np.ndarray, bank: FilterBank) -> tuple:
-        """Strip traversal: periodized row pass, valid-mode column pass."""
+        """Strip traversal: each strip's input rows plus its guard rows,
+        wrapped periodically, go through :meth:`_analyze_strip`."""
         rows, cols = image.shape
         front, back = self.analysis_guard_depths(bank)
         half_rows, half_cols = rows // 2, cols // 2
@@ -205,13 +206,14 @@ class WaveletKernel:
         for r0 in range(0, half_rows, self.block_rows):
             r1 = min(half_rows, r0 + self.block_rows)
             need = np.arange(2 * r0 - front, 2 * r1 + back) % rows
-            low, high = self.analyze(image[need], bank, 1)
-            ll[r0:r1], lh[r0:r1] = self.analyze_valid(low, bank, 0, r1 - r0, front)
-            hl[r0:r1], hh[r0:r1] = self.analyze_valid(high, bank, 0, r1 - r0, front)
+            ll[r0:r1], lh[r0:r1], hl[r0:r1], hh[r0:r1] = self._analyze_strip(
+                image, need, bank, front, r1 - r0
+            )
         return ll, lh, hl, hh
 
     def _synthesize_2d(self, ll, lh, hl, hh, bank: FilterBank) -> np.ndarray:
-        """Strip traversal: valid-mode column pass, periodized row pass."""
+        """Strip traversal: each strip's subband rows plus its guard rows,
+        wrapped periodically, go through :meth:`_synthesize_strip`."""
         half_rows, half_cols = ll.shape
         rows = 2 * half_rows
         front, back = self.synthesis_guard_depths(bank)
@@ -219,10 +221,27 @@ class WaveletKernel:
         for j0 in range(0, rows, 2 * self.block_rows):
             j1 = min(rows, j0 + 2 * self.block_rows)
             seg = np.arange(j0 // 2 - front, (j1 + 1) // 2 + back) % half_rows
-            low = self.synthesize_valid(ll[seg], lh[seg], bank, 0, j1 - j0, front)
-            high = self.synthesize_valid(hl[seg], hh[seg], bank, 0, j1 - j0, front)
-            image[j0:j1] = self.synthesize(low, high, bank, 1)
+            self._synthesize_strip(ll, lh, hl, hh, seg, bank, front, image[j0:j1])
         return image
+
+    def _analyze_strip(self, image, need, bank: FilterBank, front: int, out_rows: int):
+        """One strip of ``image``, its rows ``need`` (``front`` guard rows
+        first): periodized row pass, then valid-mode column pass, to
+        ``out_rows`` rows of each band."""
+        low, high = self.analyze(image[need], bank, 1)
+        return (
+            *self.analyze_valid(low, bank, 0, out_rows, front),
+            *self.analyze_valid(high, bank, 0, out_rows, front),
+        )
+
+    def _synthesize_strip(self, ll, lh, hl, hh, seg, bank, front: int, out) -> None:
+        """One strip from the subband rows ``seg`` (``front`` guard rows
+        first): valid-mode column pass, then periodized row pass, into the
+        image rows ``out``."""
+        out_rows = out.shape[0]
+        low = self.synthesize_valid(ll[seg], lh[seg], bank, 0, out_rows, front)
+        high = self.synthesize_valid(hl[seg], hh[seg], bank, 0, out_rows, front)
+        out[...] = self.synthesize(low, high, bank, 1)
 
 
 class ConvKernel(WaveletKernel):
@@ -325,8 +344,8 @@ class FusedKernel(LiftingKernel):
 class SingleLoopKernel(LiftingKernel):
     """The monolithic single-loop 2-D sweep (Barina et al.).
 
-    Lifting arithmetic, but the traversal interleaves vertical and
-    horizontal steps over the four polyphase lanes so each pixel is
+    Lifting arithmetic, but each strip interleaves vertical and
+    horizontal steps over its four polyphase lanes so each pixel is
     visited once per level (:mod:`repro.wavelet.singleloop`).  In 1-D
     there is only one axis to sweep, so the monolithic unit degenerates
     to the plain lifting pass — the per-axis passes are inherited.  A
@@ -355,11 +374,15 @@ class SingleLoopKernel(LiftingKernel):
             periodic_cols=periodic_cols,
         )
 
-    def _analyze_2d(self, image, bank):
-        return single_loop_analyze_2d(image, lifting_scheme(bank))
+    def _analyze_strip(self, image, need, bank, front, out_rows):
+        return self.sweep_valid(
+            image[need], bank, out_rows, image.shape[1] // 2, front, periodic_cols=True
+        )
 
-    def _synthesize_2d(self, ll, lh, hl, hh, bank):
-        return single_loop_synthesize_2d(ll, lh, hl, hh, lifting_scheme(bank))
+    def _synthesize_strip(self, ll, lh, hl, hh, seg, bank, front, out):
+        single_loop_synthesize_valid(
+            ll[seg], lh[seg], hl[seg], hh[seg], lifting_scheme(bank), front, out
+        )
 
 
 _FACTORIES = {

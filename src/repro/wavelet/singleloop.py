@@ -21,19 +21,22 @@ The diagonal output scaling is deferred and fused: each subband is one
 multiply by the *product* of the two axes' scales, applied during lane
 extraction (the separable form scales twice, once per pass).
 
-Two boundary modes mirror :mod:`repro.wavelet.lifting`, whose step
-primitives the sweep calls with ``axis=1`` (horizontal) or ``axis=0``
-(vertical):
+Both sweeps run in valid mode over guard-extended rows, calling the step
+primitives of :mod:`repro.wavelet.lifting` with ``axis=1`` (horizontal)
+or ``axis=0`` (vertical), and track the interval of valid rows of every
+lane, raising :class:`~repro.errors.ConfigurationError` when the guards
+are too shallow:
 
-* periodized (:func:`single_loop_analyze_2d` /
-  :func:`single_loop_synthesize_2d`) — the sequential kernel;
-* valid-with-margins (:func:`single_loop_analyze_valid`) — the SPMD
-  programs extend an owned tile with guard-exchanged margins and the
-  sweep tracks a rectangular valid region per lane (row interval x
-  column interval), raising :class:`~repro.errors.ConfigurationError`
-  when the guards are too shallow.  The striped program keeps the
-  column axis periodized (``periodic_cols=True``); the block program
-  runs both axes in valid mode.
+* :func:`single_loop_analyze_valid` — the forward sweep.  The sequential
+  kernel runs it over each 32-row strip of
+  :class:`~repro.wavelet.kernels.WaveletKernel`'s strip traversal, and
+  the striped SPMD program over each rank's stripe, both with the column
+  axis periodized (``periodic_cols=True``); the block program runs both
+  axes in valid mode and also tracks an interval of valid columns.
+* :func:`single_loop_synthesize_valid` — the inverse sweep, valid rows
+  and periodized columns, which the sequential kernel runs over each
+  strip.  (``striped_reconstruct_program`` reconstructs a single-loop
+  pyramid through the separable lifting passes.)
 """
 
 from __future__ import annotations
@@ -49,9 +52,8 @@ from repro.wavelet.lifting import (
 )
 
 __all__ = [
-    "single_loop_analyze_2d",
-    "single_loop_synthesize_2d",
     "single_loop_analyze_valid",
+    "single_loop_synthesize_valid",
 ]
 
 _PARITIES = ("e", "o")
@@ -78,71 +80,17 @@ def _band_specs(scheme: LiftingScheme):
     return ((low, low), (high, low), (low, high), (high, high))
 
 
+def _intersect(a: tuple, b: tuple) -> tuple:
+    """The common part of two half-open intervals (empty as ``(lo, lo)``)."""
+    lo = max(a[0], b[0])
+    return lo, max(lo, min(a[1], b[1]))
+
+
 def _validate_even(rows: int, cols: int) -> None:
     if rows % 2 or cols % 2:
         raise ConfigurationError(
             f"image dimensions must be even for decimation, got {rows}x{cols}"
         )
-
-
-def single_loop_analyze_2d(image: np.ndarray, scheme: LiftingScheme):
-    """One periodized single-loop analysis sweep.
-
-    Returns ``(ll, lh, hl, hh)`` quarter-size bands equal (to float
-    rounding) to the separable lifting level, hence to convolution
-    within the scheme's verified tolerance.
-    """
-    image = np.asarray(image, dtype=np.float64)
-    rows, cols = image.shape
-    _validate_even(rows, cols)
-    if min(rows, cols) < scheme.filter_length:
-        raise ConfigurationError(
-            f"image {rows}x{cols} is shorter than the filter "
-            f"({scheme.filter_length} taps); periodized filtering would "
-            "wrap more than once"
-        )
-    lanes = _split_quads(image)
-    for step in scheme.steps:
-        other = "o" if step.target == "e" else "e"
-        for r in _PARITIES:
-            _circular_step(lanes[(r, step.target)], lanes[(r, other)], step, 1.0, 1)
-        for c in _PARITIES:
-            _circular_step(lanes[(step.target, c)], lanes[(other, c)], step, 1.0, 0)
-    bands = []
-    for v, h in _band_specs(scheme):
-        lane = lanes[(v[0], h[0])]
-        shifted = _circular_shift(_circular_shift(lane, v[2], 0), h[2], 1)
-        bands.append((v[1] * h[1]) * shifted)
-    return tuple(bands)
-
-
-def single_loop_synthesize_2d(ll, lh, hl, hh, scheme: LiftingScheme) -> np.ndarray:
-    """Invert :func:`single_loop_analyze_2d`: unscale/unshift the four
-    lanes, replay the interleaved steps backwards with the sign flipped,
-    and re-interleave the quads."""
-    bands = [np.asarray(b, dtype=np.float64) for b in (ll, lh, hl, hh)]
-    shape = bands[0].shape
-    for b in bands[1:]:
-        if b.shape != shape:
-            raise ConfigurationError(
-                f"subband shapes differ: {[b.shape for b in bands]}"
-            )
-    lanes = {}
-    for band, (v, h) in zip(bands, _band_specs(scheme)):
-        lane = band * (1.0 / (v[1] * h[1]))
-        lane = _circular_shift(_circular_shift(lane, -v[2], 0), -h[2], 1)
-        lanes[(v[0], h[0])] = np.ascontiguousarray(lane)
-    for step in reversed(scheme.steps):
-        other = "o" if step.target == "e" else "e"
-        for c in _PARITIES:
-            _circular_step(lanes[(step.target, c)], lanes[(other, c)], step, -1.0, 0)
-        for r in _PARITIES:
-            _circular_step(lanes[(r, step.target)], lanes[(r, other)], step, -1.0, 1)
-    out = np.empty((2 * shape[0], 2 * shape[1]), dtype=np.float64)
-    for r in _PARITIES:
-        for c in _PARITIES:
-            out[_OFFSET[r] :: 2, _OFFSET[c] :: 2] = lanes[(r, c)]
-    return out
 
 
 def single_loop_analyze_valid(
@@ -191,26 +139,22 @@ def single_loop_analyze_valid(
         other = "o" if step.target == "e" else "e"
         for r in _PARITIES:
             t, s = (r, step.target), (r, other)
+            # Rows where the source lane is stale poison the target rows,
+            # and a stale row never becomes valid again: a horizontal step
+            # updates the valid rows only.
+            row_valid[t] = lo, hi = _intersect(row_valid[t], row_valid[s])
             if periodic_cols:
-                _circular_step(lanes[t], lanes[s], step, 1.0, 1)
+                _circular_step(lanes[t][lo:hi], lanes[s][lo:hi], step, 1.0, 1)
             else:
                 col_valid[t] = _valid_step(
-                    lanes[t], lanes[s], step, col_valid[t], col_valid[s], 1.0, 1
+                    lanes[t][lo:hi], lanes[s][lo:hi], step, col_valid[t], col_valid[s], 1.0, 1
                 )
-            # Rows where the source lane is stale poison the target rows.
-            row_valid[t] = (
-                max(row_valid[t][0], row_valid[s][0]),
-                min(row_valid[t][1], row_valid[s][1]),
-            )
         for c in _PARITIES:
             t, s = (step.target, c), (other, c)
             row_valid[t] = _valid_step(
                 lanes[t], lanes[s], step, row_valid[t], row_valid[s], 1.0, 0
             )
-            col_valid[t] = (
-                max(col_valid[t][0], col_valid[s][0]),
-                min(col_valid[t][1], col_valid[s][1]),
-            )
+            col_valid[t] = _intersect(col_valid[t], col_valid[s])
     bands = []
     for v, h in _band_specs(scheme):
         key = (v[0], h[0])
@@ -242,3 +186,72 @@ def single_loop_analyze_valid(
             seg = lane[r0 : r0 + out_rows, c0 : c0 + out_cols]
         bands.append((v[1] * h[1]) * seg)
     return tuple(bands)
+
+
+def single_loop_synthesize_valid(
+    ll, lh, hl, hh, scheme: LiftingScheme, lead_rows: int, out: np.ndarray
+) -> np.ndarray:
+    """Valid-mode inverse sweep over guard-extended subband rows, into
+    ``out``.
+
+    The four subbands are owned rows extended with guard rows: the first
+    ``lead_rows`` come from the rows before them, the tail from the rows
+    after; the column axis is whole and periodized.  Fills ``out`` (its
+    row count is the number of image rows wanted, its column count twice
+    the subbands') with the image rows aligned with the owned subband
+    start — ``out`` row ``j`` is row ``2 * (segment_start + lead_rows) +
+    j`` of the periodized inverse — and returns it.  Raises
+    :class:`ConfigurationError` when the guards are too shallow
+    (:meth:`repro.wavelet.kernels.WaveletKernel.synthesis_guard_depths`
+    gives sufficient depths — the sweep's row validity erodes exactly as
+    in the separable lifting column pass).
+    """
+    bands = [np.asarray(b, dtype=np.float64) for b in (ll, lh, hl, hh)]
+    if any(b.ndim != 2 or b.shape != bands[0].shape or not b.shape[1] for b in bands):
+        raise ConfigurationError(
+            "expected four 2-D subbands of one shape with columns, got "
+            f"{[b.shape for b in bands]}"
+        )
+    n, cols = bands[0].shape
+    if lead_rows < 0:
+        raise ConfigurationError(f"lead_rows must be >= 0, got {lead_rows}")
+    if out.ndim != 2 or out.shape[1] != 2 * cols:
+        raise ConfigurationError(
+            f"out must have {2 * cols} columns for {cols}-column subbands, "
+            f"got shape {out.shape}"
+        )
+    lanes, row_valid = {}, {}
+    for band, (v, h) in zip(bands, _band_specs(scheme)):
+        # lane[i, j] = band[i - v_shift, j - h_shift] / scale where defined,
+        # scaled straight into the rotated columns (a scaled or rotated
+        # temporary costs more than the lane itself).
+        key, shift, k = (v[0], h[0]), v[2], -h[2] % cols
+        lo, hi = min(max(0, shift), n), max(0, min(n, n + shift))
+        lane = lanes[key] = np.empty(band.shape)
+        lane[:lo] = lane[hi:] = 0.0
+        rows, scale = band[lo - shift : hi - shift], 1.0 / (v[1] * h[1])
+        np.multiply(rows[:, k:], scale, out=lane[lo:hi, : cols - k])
+        np.multiply(rows[:, :k], scale, out=lane[lo:hi, cols - k :])
+        row_valid[key] = (lo, hi)
+    for step in reversed(scheme.steps):
+        other = "o" if step.target == "e" else "e"
+        for c in _PARITIES:
+            t, s = (step.target, c), (other, c)
+            row_valid[t] = _valid_step(
+                lanes[t], lanes[s], step, row_valid[t], row_valid[s], -1.0, 0
+            )
+        for r in _PARITIES:
+            t, s = (r, step.target), (r, other)
+            row_valid[t] = lo, hi = _intersect(row_valid[t], row_valid[s])
+            _circular_step(lanes[t][lo:hi], lanes[s][lo:hi], step, -1.0, 1)
+    need = {"e": (out.shape[0] + 1) // 2, "o": out.shape[0] // 2}
+    for (r, c), lane in lanes.items():
+        r_lo, r_hi = row_valid[(r, c)]
+        if lead_rows < r_lo or lead_rows + need[r] > r_hi:
+            raise ConfigurationError(
+                f"insufficient row guard for the single-loop inverse sweep: "
+                f"need lane[{lead_rows}:{lead_rows + need[r]}] valid, have "
+                f"[{r_lo}:{r_hi}) (see WaveletKernel.synthesis_guard_depths)"
+            )
+        out[_OFFSET[r] :: 2, _OFFSET[c] :: 2] = lane[lead_rows : lead_rows + need[r]]
+    return out

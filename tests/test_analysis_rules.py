@@ -420,6 +420,26 @@ class TestChargingRule:
         assert [f.line for f in found] == [7]
         assert method in found[0].message
 
+    def test_uncharged_inverse_sweep_before_send(self):
+        report = lint(
+            {
+                "fix.charge": """\
+                    from repro.wavelet.singleloop import single_loop_synthesize_valid
+
+                    TAG = 7930
+
+                    def prog(ctx, ll, lh, hl, hh, scheme, out):
+                        rows = single_loop_synthesize_valid(ll, lh, hl, hh, scheme, 0, out)
+                        yield ctx.send(1, rows, tag=TAG)
+                        got = yield ctx.recv(1, tag=TAG)
+                        return got
+                    """,
+            }
+        )
+        found = hits(report, "CHG-UNCHARGED-KERNEL")
+        assert [f.line for f in found] == [6]
+        assert "single_loop_synthesize_valid" in found[0].message
+
     def test_uncharged_kernel_at_end_of_body(self):
         report = lint(
             {

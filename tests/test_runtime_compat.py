@@ -8,6 +8,7 @@ refactor changed an observable result byte and must be treated as a
 regression, not re-pinned.
 """
 
+import numpy as np
 import pytest
 
 from tests._digest_util import digest, run_result_digest
@@ -22,6 +23,7 @@ from repro.wavelet import filter_bank_for_length
 from repro.wavelet.parallel import run_spmd_wavelet
 from repro.wavelet.parallel.decomposition import StripeDecomposition
 from repro.wavelet.parallel.spmd import striped_wavelet_program
+from repro.workload import nas_suite
 
 WAVELET_STRIPED = "d3be181e785b0743fc27ab1091bd36bc87441920eb4833b50367d0a138168033"
 WAVELET_STRIPED_PYR = "6ba270725d67d6b761be546ea01930b77b07d56aef0f3a890ed3ec73e2de8324"
@@ -153,6 +155,56 @@ class TestRegistryValidation:
             program="wavelet", params={"image": image, "bank": bank, "levels": 1}
         )
         with pytest.raises(ConfigurationError):
+            launch(spec)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param({"levels": 2.5}, id="levels-2.5"),
+            pytest.param({"levels": 1.9}, id="levels-1.9"),
+            pytest.param({"image": np.zeros(64)}, id="1d-image"),
+            pytest.param({"image": np.zeros((64, 64, 2))}, id="3d-image"),
+            pytest.param({"bank": "daub4"}, id="bank-name"),
+            pytest.param({"levels": None}, id="missing-levels"),
+        ],
+    )
+    def test_bad_wavelet_params_are_configuration_errors(self, image, bank, change):
+        params = {"image": image, "bank": bank, "levels": 1, **change}
+        spec = JobSpec(
+            program="wavelet",
+            params={key: value for key, value in params.items() if value is not None},
+            options=RunOptions(machine="paragon", nranks=4),
+        )
+        with pytest.raises(ConfigurationError):
+            launch(spec)
+
+    @pytest.mark.parametrize(
+        "program, params",
+        [
+            pytest.param(
+                "nbody",
+                {"particles": plummer_sphere(16, dim=2, seed=0), "steps": 1.5},
+                id="nbody-steps",
+            ),
+            pytest.param(
+                "pic",
+                {
+                    "grid": Grid3D(8),
+                    "particles": uniform_cube(64, thermal_speed=0.05, seed=1),
+                    "steps": 1.5,
+                },
+                id="pic-steps",
+            ),
+            pytest.param(
+                "workload", {"trace": nas_suite(0.05)[0], "repeats": 1.5}, id="workload-repeats"
+            ),
+        ],
+    )
+    def test_fractional_counts_are_rejected_not_truncated(self, program, params):
+        spec = JobSpec(
+            program=program, params=params, options=RunOptions(machine="paragon", nranks=2)
+        )
+        with pytest.raises(ConfigurationError, match="integer"):
             launch(spec)
 
     @pytest.mark.parametrize("nranks,levels", [(6, 1), (8, 4)])

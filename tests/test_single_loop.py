@@ -27,8 +27,11 @@ from repro.wavelet import (
 )
 from repro.wavelet.parallel.spmd import run_spmd_wavelet
 from repro.wavelet.singleloop import (
-    single_loop_analyze_2d,
     single_loop_analyze_valid,
+    single_loop_synthesize_valid,
+)
+from tests.test_wavelet_strip_oracle import (
+    single_loop_analyze_2d,
     single_loop_synthesize_2d,
 )
 
@@ -138,23 +141,37 @@ class TestSequentialEquivalence:
         assert all(np.array_equal(r, g) for r, g in zip(d_ref, d_got))
 
     def test_analyze_synthesize_primitives_invert(self):
-        scheme = lifting_scheme(filter_bank_for_length(8))
+        # The valid-mode sweeps over periodically gathered guard rows.
+        bank = filter_bank_for_length(8)
+        scheme = lifting_scheme(bank)
+        kernel = get_kernel("single-loop")
         image = RandomState(3).standard_normal((32, 48))
-        bands = single_loop_analyze_2d(image, scheme)
-        back = single_loop_synthesize_2d(*bands, scheme)
-        assert np.abs(back - image).max() < ROUND_TRIP_TOL
+        front, back = kernel.analysis_guard_depths(bank)
+        ext = image[np.arange(-front, 32 + back) % 32]
+        bands = single_loop_analyze_valid(ext, scheme, 16, 24, front, periodic_cols=True)
+        front, back = kernel.synthesis_guard_depths(bank)
+        seg = np.arange(-front, 16 + back) % 16
+        back_image = single_loop_synthesize_valid(
+            *(band[seg] for band in bands), scheme, front, np.empty((32, 48))
+        )
+        assert np.abs(back_image - image).max() < ROUND_TRIP_TOL
 
     def test_too_small_image_rejected(self):
-        scheme = lifting_scheme(filter_bank_for_length(8))
-        with pytest.raises(ConfigurationError):
-            single_loop_analyze_2d(np.zeros((4, 32)), scheme)
+        bank = filter_bank_for_length(8)
+        with pytest.raises(ConfigurationError, match="too small"):
+            get_kernel("single-loop").forward_step_2d(np.zeros((4, 32)), bank)
 
     def test_one_pixel_lanes_leave_the_input_untouched(self):
         # The four lanes of a 2x2 image are contiguous views of it; the
-        # in-place steps must run on copies.
+        # in-place steps must run on copies.  The inverse sweep builds its
+        # lanes afresh, so it leaves its subbands untouched too.
+        scheme = lifting_scheme(filter_bank_for_length(2))
         image = np.ones((2, 2))
-        single_loop_analyze_2d(image, lifting_scheme(filter_bank_for_length(2)))
+        bands = single_loop_analyze_valid(image, scheme, 1, 1, 0, periodic_cols=True)
         assert (image == 1.0).all()
+        copies = [band.copy() for band in bands]
+        single_loop_synthesize_valid(*bands, scheme, 0, np.empty((2, 2)))
+        assert all(np.array_equal(b, c) for b, c in zip(bands, copies))
 
 
 # -- valid-mode sweep -------------------------------------------------------
@@ -177,6 +194,41 @@ class TestValidMode:
             )
             for got_band, ref_band in zip(got, ref):
                 assert np.array_equal(got_band, ref_band[start // 2 : start // 2 + 8])
+
+    @pytest.mark.parametrize("m", BANK_LENGTHS)
+    def test_periodic_extension_reproduces_periodized_inverse(self, m):
+        bank = filter_bank_for_length(m)
+        scheme = lifting_scheme(bank)
+        front, back = get_kernel("single-loop").synthesis_guard_depths(bank)
+        image = RandomState(55 + m).standard_normal((64, 48))
+        bands = single_loop_analyze_2d(image, scheme)
+        ref = single_loop_synthesize_2d(*bands, scheme)
+
+        # Rebuild each 16-row output stripe from periodically gathered
+        # subband rows.
+        for start in range(0, 64, 16):
+            seg = np.arange(start // 2 - front, start // 2 + 8 + back) % 32
+            got = single_loop_synthesize_valid(
+                *(band[seg] for band in bands), scheme, front, np.empty((16, 48))
+            )
+            assert got.tobytes() == ref[start : start + 16].tobytes()
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12, 14])
+    def test_inverse_guard_depths_are_exact(self, m):
+        bank = filter_bank_for_length(m)
+        scheme = lifting_scheme(bank)
+        front, back = get_kernel("single-loop").synthesis_guard_depths(bank)
+        # Haar's steps reach no neighbor row; every longer filter's do.
+        assert (front > 0, back > 0) == (m > 2, m > 2)
+        bands = RandomState(m).standard_normal((4, front + 8 + back, 16))
+        out = np.empty((16, 32))
+        single_loop_synthesize_valid(*bands, scheme, front, out)
+        if front:
+            with pytest.raises(ConfigurationError, match="guard"):
+                single_loop_synthesize_valid(*bands[:, 1:], scheme, front - 1, out)
+        if back:
+            with pytest.raises(ConfigurationError, match="guard"):
+                single_loop_synthesize_valid(*bands[:, :-1], scheme, front, out)
 
     def test_insufficient_row_guard_raises(self):
         scheme = lifting_scheme(filter_bank_for_length(8))

@@ -1,43 +1,56 @@
-"""Differential oracle for the strip traversal of the separable 2-D step.
+"""Differential oracle for the strip traversal of the 2-D step.
 
-The reference below is the whole-image composition of the paper's Mallat
-step: the periodized row pass over the whole image, then the periodized
-column pass over each half, and the mirrored synthesis.  The kernels
-instead run both passes over 32-row strips, with the column pass in valid
-mode over guard rows gathered periodically.  Each output element still
-gets the same products in the same tap order, so every band must be
-byte-identical to the reference and C-ordered, including where one strip
-wraps the image more than once and where the last strip is partial.
+The references below are the whole-image forms of each kernel's level.
+For the separable kernels it is the paper's Mallat step: the periodized
+row pass over the whole image, then the periodized column pass over each
+half, and the mirrored synthesis.  For single-loop it is the periodized
+single-loop sweep over the four polyphase lanes of the whole image, and
+its inverse.  The kernels instead run each level over 32-row strips, in
+valid mode along the rows over guard rows gathered periodically.  Each
+output element still gets the same products in the same step and tap
+order, so every band must be byte-identical to the reference and
+C-ordered, including where one strip wraps the image more than once and
+where the last strip is partial.
 """
 
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.wavelet import (
     DetailTriple,
     WaveletPyramid,
     filter_bank_for_length,
     get_kernel,
+    lifting_scheme,
     mallat_decompose_2d,
     max_decomposition_levels,
 )
+from repro.wavelet.lifting import LiftingScheme, _circular_shift, _circular_step
+from repro.wavelet.singleloop import (
+    _OFFSET,
+    _PARITIES,
+    _band_specs,
+    _split_quads,
+    _validate_even,
+)
 
-SEPARABLE = ("conv", "lifting", "fused")
+ALL = ("conv", "lifting", "fused", "single-loop")
 
 # (shape, filter length, kernels); lifting factors only D2-D14.
 CASES = [
     # Minimum sides: the guard rows of one strip wrap the image more than once.
-    ((8, 8), 8, SEPARABLE),
-    ((14, 14), 14, SEPARABLE),
+    ((8, 8), 8, ALL),
+    ((14, 14), 14, ALL),
     ((20, 20), 20, ("conv",)),
     # Heights that are whole strips.
-    ((64, 24), 4, SEPARABLE),
-    ((128, 48), 8, SEPARABLE),
-    ((192, 16), 2, SEPARABLE),
+    ((64, 24), 4, ALL),
+    ((128, 48), 8, ALL),
+    ((192, 16), 2, ALL),
     # A partial last strip, in both orientations.
-    ((200, 40), 8, SEPARABLE),
-    ((40, 200), 8, SEPARABLE),
-    ((136, 72), 14, SEPARABLE),
+    ((200, 40), 8, ALL),
+    ((40, 200), 8, ALL),
+    ((136, 72), 14, ALL),
     ((72, 136), 20, ("conv",)),
 ]
 
@@ -48,14 +61,76 @@ PARAMS = [
 ]
 
 
+def single_loop_analyze_2d(image: np.ndarray, scheme: LiftingScheme):
+    """One periodized single-loop analysis sweep over the whole image:
+    ``(ll, lh, hl, hh)``."""
+    image = np.asarray(image, dtype=np.float64)
+    rows, cols = image.shape
+    _validate_even(rows, cols)
+    if min(rows, cols) < scheme.filter_length:
+        raise ConfigurationError(
+            f"image {rows}x{cols} is shorter than the filter "
+            f"({scheme.filter_length} taps); periodized filtering would "
+            "wrap more than once"
+        )
+    lanes = _split_quads(image)
+    for step in scheme.steps:
+        other = "o" if step.target == "e" else "e"
+        for r in _PARITIES:
+            _circular_step(lanes[(r, step.target)], lanes[(r, other)], step, 1.0, 1)
+        for c in _PARITIES:
+            _circular_step(lanes[(step.target, c)], lanes[(other, c)], step, 1.0, 0)
+    bands = []
+    for v, h in _band_specs(scheme):
+        lane = lanes[(v[0], h[0])]
+        shifted = _circular_shift(_circular_shift(lane, v[2], 0), h[2], 1)
+        bands.append((v[1] * h[1]) * shifted)
+    return tuple(bands)
+
+
+def single_loop_synthesize_2d(ll, lh, hl, hh, scheme: LiftingScheme) -> np.ndarray:
+    """Invert :func:`single_loop_analyze_2d`: unscale/unshift the four
+    lanes, replay the interleaved steps backwards with the sign flipped,
+    and re-interleave the quads."""
+    bands = [np.asarray(b, dtype=np.float64) for b in (ll, lh, hl, hh)]
+    shape = bands[0].shape
+    for b in bands[1:]:
+        if b.shape != shape:
+            raise ConfigurationError(
+                f"subband shapes differ: {[b.shape for b in bands]}"
+            )
+    lanes = {}
+    for band, (v, h) in zip(bands, _band_specs(scheme)):
+        lane = band * (1.0 / (v[1] * h[1]))
+        lane = _circular_shift(_circular_shift(lane, -v[2], 0), -h[2], 1)
+        lanes[(v[0], h[0])] = np.ascontiguousarray(lane)
+    for step in reversed(scheme.steps):
+        other = "o" if step.target == "e" else "e"
+        for c in _PARITIES:
+            _circular_step(lanes[(step.target, c)], lanes[(other, c)], step, -1.0, 0)
+        for r in _PARITIES:
+            _circular_step(lanes[(r, step.target)], lanes[(r, other)], step, -1.0, 1)
+    out = np.empty((2 * shape[0], 2 * shape[1]), dtype=np.float64)
+    for r in _PARITIES:
+        for c in _PARITIES:
+            out[_OFFSET[r] :: 2, _OFFSET[c] :: 2] = lanes[(r, c)]
+    return out
+
+
 def whole_image_forward(kernel, image, bank):
-    """Row pass over the whole image, then the column pass of each half."""
+    """The kernel's level over the whole image: the single-loop sweep, or
+    the row pass then the column pass of each half."""
+    if kernel.name == "single-loop":
+        return single_loop_analyze_2d(image, lifting_scheme(bank))
     low, high = kernel.analyze(image, bank, 1)
     return (*kernel.analyze(low, bank, 0), *kernel.analyze(high, bank, 0))
 
 
 def whole_image_inverse(kernel, ll, lh, hl, hh, bank):
-    """Column synthesis of each half, then the row synthesis."""
+    """The inverse sweep, or the column synthesis of each half then the
+    row synthesis."""
+    if kernel.name == "single-loop":
+        return single_loop_synthesize_2d(ll, lh, hl, hh, lifting_scheme(bank))
     low = kernel.synthesize(ll, lh, bank, 0)
     high = kernel.synthesize(hl, hh, bank, 0)
     return kernel.synthesize(low, high, bank, 1)
