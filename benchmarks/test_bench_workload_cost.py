@@ -3,10 +3,12 @@ techniques.
 
 The paper's complexity table: parallelism-matrix representation costs
 O(p*t) time and O(n^t) space, comparison O(n^t); the vector-space model
-costs O(t) space and O(t) comparison.  This benchmark measures actual
-wall time and storage for a growing NAS-like workload and checks the
+costs O(t) space and O(t) comparison.  This benchmark measures storage
+and actual wall time for a growing NAS-like workload and checks the
 asymmetry: matrix costs grow with workload size/width while the centroid
-stays constant-size.
+stays constant-size.  The artifact holds only the storage columns, which
+are pure functions of the workload; the comparison times differ from run
+to run, so they are asserted and printed to the test log instead.
 """
 
 from __future__ import annotations
@@ -58,22 +60,16 @@ def test_table5_costs(benchmark, artifact):
 
     rows = []
     for scale, (vector_time, matrix_time, centroid_bytes, sparse, dense) in measured.items():
-        rows.append(
-            [
-                scale,
-                f"{vector_time * 1e6:.1f}us",
-                f"{matrix_time * 1e6:.1f}us",
-                centroid_bytes,
-                sparse,
-                f"{dense:.2e}",
-            ]
+        rows.append([scale, centroid_bytes, sparse, f"{dense:.2e}"])
+        print(
+            f"scale {scale:g}: vector_cmp {vector_time * 1e6:.1f}us, "
+            f"matrix_cmp {matrix_time * 1e6:.1f}us"
         )
     artifact(
         "appendixC_table5_costs",
         format_table(
-            "Appendix C Table 5: measured comparison cost and storage "
-            "(vector space vs parallelism matrix)",
-            ["scale", "vector_cmp", "matrix_cmp", "centroid_B", "sparse_cells", "dense_cells"],
+            "Appendix C Table 5: storage (vector space vs parallelism matrix)",
+            ["scale", "centroid_B", "sparse_cells", "dense_cells"],
             rows,
         ),
     )

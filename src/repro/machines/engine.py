@@ -478,9 +478,9 @@ class RunResult:
     #: retransmits, dropped, corrupted, duplicates, delayed, checkpoints.
     fault_stats: dict = None
     #: Engine-internals counters for the run (always present): ops retired
-    #: (``events``), receives matched through a wildcard
-    #: (``wildcard_matches``), and route/path cache hits from the network
-    #: layer.
+    #: (``events``) and receives matched through a wildcard
+    #: (``wildcard_matches``).  ``route_cache_hits`` and
+    #: ``path_cache_hits`` are always 0: the network has no caches.
     engine_stats: dict = None
 
     @property
@@ -699,15 +699,14 @@ class Engine:
         for st in states:
             st.budget.imbalance_s = elapsed - st.clock
 
-        network = machine.network
-        route_hits, route_misses = network.topology.route_cache_stats()
         self.engine_stats = {
             "events": self._events,
             "wildcard_matches": self._wildcard_matches,
-            "route_cache_hits": route_hits,
-            "route_cache_misses": route_misses,
-            "path_cache_hits": getattr(network, "path_cache_hits", 0),
-            "path_cache_misses": getattr(network, "path_cache_misses", 0),
+            # Routing is closed-form and caches nothing, so these read 0.
+            # bench/trace.py still reads both keys; the next
+            # benchmark-only change removes them along with their rows.
+            "route_cache_hits": 0,
+            "path_cache_hits": 0,
         }
         return RunResult(
             elapsed_s=elapsed,

@@ -10,13 +10,19 @@ keeping every logical neighbor at physical distance one.
 The model here reproduces that mechanism:
 
 * Topologies expose ``route(src, dst)`` returning the ordered physical
-  channels a message occupies.  Channels are *undirected* (a half-duplex
-  shared physical channel), which is what makes opposing neighbor traffic
-  collide with row-crossing messages.
+  channels a message occupies, keyed by node coordinates.  Channels are
+  *undirected* (a half-duplex shared physical channel), which is what
+  makes opposing neighbor traffic collide with row-crossing messages.
+* Every topology routes in a fixed dimension order, so its channels are
+  also numbered densely, ``0 .. num_channels - 1``: the links of each
+  X line, line by line, then those of each Y line, then Z.  A route is
+  then one id range per dimension it moves in (two when a torus walk
+  wraps past the end of a line), and ``channel_ranges(src, dst)``
+  computes those ranges by arithmetic alone.
 * A message reserves its whole path for its full transfer duration
   (a conservative wormhole approximation: a blocked head blocks the whole
-  worm).  Per-channel ``free_at`` bookkeeping turns simultaneous path
-  overlaps into serialization delays.
+  worm).  One flat list of per-channel free times, indexed by channel id,
+  turns simultaneous path overlaps into serialization delays.
 
 Transfer time for an ``n``-byte message over ``h`` hops:
 
@@ -25,30 +31,11 @@ Transfer time for an ``n``-byte message over ``h`` hops:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import CommunicationError, ConfigurationError
 
 __all__ = ["Topology", "Mesh2D", "Torus3D", "FullyConnected", "ContentionNetwork"]
-
-#: Bound on memoized entries so adversarial traffic patterns cannot grow
-#: the caches without limit (LRU eviction).  The route cache stores tuples
-#: of channel tuples — heavy in small GC-tracked objects — so its bound is
-#: deliberately tight: hot pairs survive via LRU promotion while one-shot
-#: routes (butterfly exchange partners at 4k ranks) cycle out instead of
-#: bloating every generation-2 GC pass.  The path cache stores one compact
-#: numpy array per pair and can afford a much larger bound.
-_ROUTE_CACHE_MAX = 8192
-_PATH_CACHE_MAX = 131072
-
-#: Paths at or below this hop count use a scalar free-time walk; longer
-#: paths (row-crossing routes on big meshes) get the vectorized numpy
-#: gather/max/scatter, which only pays off once the per-call overhead is
-#: amortized over many channels.
-_VECTOR_HOPS = 12
 
 
 def _canonical(a: tuple, b: tuple) -> tuple:
@@ -56,14 +43,54 @@ def _canonical(a: tuple, b: tuple) -> tuple:
     return (a, b) if a <= b else (b, a)
 
 
+def _line_links(extent: int, torus: bool) -> tuple:
+    """``(wraps, links)`` for one line of ``extent`` nodes.
+
+    A torus line of three or more nodes has a wrap link from its last
+    node back to its first.  At extent 2 the wrap link and the direct
+    link join the same two nodes, so they are one channel.
+    """
+    wraps = torus and extent > 2
+    return wraps, extent if wraps else extent - 1
+
+
+def _line_ranges(ranges: list, start: int, end: int, extent: int, wraps: bool, base: int) -> int:
+    """Append the channel-id ranges of a walk from ``start`` to ``end``
+    along one line and return its hop count.
+
+    The line's link from position ``i`` to ``i + 1`` (mod ``extent`` when
+    it ``wraps``) has id ``base + i``, so a walk covers ``hops``
+    consecutive links from the lower end of its first step.  A wrapping
+    walk goes the shorter way round, forward on a tie, and splits in two
+    where it passes the wrap link.
+    """
+    if start == end:
+        return 0
+    if not wraps:
+        first, hops = (start, end - start) if start < end else (end, start - end)
+    else:
+        forward = (end - start) % extent
+        first, hops = (start, forward) if forward <= extent - forward else (end, extent - forward)
+    stop = first + hops
+    if stop <= extent:
+        ranges.append((base + first, base + stop))
+    else:
+        ranges.append((base + first, base + extent))
+        ranges.append((base, base + stop - extent))
+    return hops
+
+
 class Topology:
     """Abstract interconnect topology.
 
-    Subclasses define the node coordinate space and the deterministic route
-    (an ordered channel list) between any two nodes.
+    Subclasses define the node coordinate space, the deterministic route
+    (an ordered channel list) between any two nodes, and the same route
+    as ranges of dense channel ids.
     """
 
     num_nodes: int
+    #: Number of distinct channels; channel ids are ``0 .. num_channels - 1``.
+    num_channels: int
 
     def coord(self, node: int) -> tuple:
         """Coordinate tuple of a node index."""
@@ -73,51 +100,21 @@ class Topology:
         """Ordered list of undirected channel keys from ``src`` to ``dst``."""
         raise NotImplementedError
 
-    def route_cached(self, src: int, dst: int) -> tuple:
-        """Memoized :meth:`route` (routes are pure functions of the node
-        pair, so the LRU-bounded cache is exact).  Returns the path as an
-        immutable tuple; hit/miss counters are surfaced in engine stats.
-        """
-        cache = getattr(self, "_route_cache", None)
-        if cache is None:
-            cache = self._route_cache = OrderedDict()
-            self.route_cache_hits = 0
-            self.route_cache_misses = 0
-        key = (src, dst)
-        path = cache.get(key)
-        if path is not None:
-            self.route_cache_hits += 1
-            cache.move_to_end(key)
-            return path
-        self.route_cache_misses += 1
-        path = tuple(self.route(src, dst))
-        cache[key] = path
-        if len(cache) > _ROUTE_CACHE_MAX:
-            cache.popitem(last=False)
-        return path
-
-    def route_cache_stats(self) -> tuple:
-        """``(hits, misses)`` of the route cache (zeros if never used)."""
-        return (
-            getattr(self, "route_cache_hits", 0),
-            getattr(self, "route_cache_misses", 0),
-        )
-
-    def reset_route_cache_stats(self) -> None:
-        """Zero the hit/miss counters (cached routes stay valid)."""
-        if getattr(self, "_route_cache", None) is not None:
-            self.route_cache_hits = 0
-            self.route_cache_misses = 0
+    def channel_ranges(self, src: int, dst: int) -> tuple:
+        """``(hops, [(lo, hi), ...])``: the ids of :meth:`route`'s channels
+        as disjoint half-open ranges."""
+        raise NotImplementedError
 
     def hops(self, src: int, dst: int) -> int:
         """Path length in channels."""
-        return len(self.route_cached(src, dst))
+        return self.channel_ranges(src, dst)[0]
 
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
-            raise CommunicationError(
-                f"node {node} out of range for {self.num_nodes}-node topology"
-            )
+    def _check_node(self, *nodes: int) -> None:
+        for node in nodes:
+            if not 0 <= node < self.num_nodes:
+                raise CommunicationError(
+                    f"node {node} out of range for {self.num_nodes}-node topology"
+                )
 
 
 class Mesh2D(Topology):
@@ -137,6 +134,11 @@ class Mesh2D(Topology):
         self.height = height
         self.torus = torus
         self.num_nodes = width * height
+        self._wrap_x, self._links_x = _line_links(width, torus)
+        self._wrap_y, self._links_y = _line_links(height, torus)
+        # X links row by row, then Y links column by column.
+        self._y_base = height * self._links_x
+        self.num_channels = self._y_base + width * self._links_y
 
     def coord(self, node: int) -> tuple:
         self._check_node(node)
@@ -176,6 +178,17 @@ class Mesh2D(Topology):
             channels.append(_canonical((dx, y), (dx, nxt)))
         return channels
 
+    def channel_ranges(self, src: int, dst: int) -> tuple:
+        self._check_node(src, dst)
+        sy, sx = divmod(src, self.width)
+        dy, dx = divmod(dst, self.width)
+        ranges = []
+        hops = _line_ranges(ranges, sx, dx, self.width, self._wrap_x, sy * self._links_x)
+        hops += _line_ranges(
+            ranges, sy, dy, self.height, self._wrap_y, self._y_base + dx * self._links_y
+        )
+        return hops, ranges
+
 
 class Torus3D(Topology):
     """3-D bidirectional torus with dimension-ordered routing (Cray T3D)."""
@@ -185,6 +198,13 @@ class Torus3D(Topology):
             raise ConfigurationError(f"torus dims must be >= 1, got {(nx, ny, nz)}")
         self.nx, self.ny, self.nz = nx, ny, nz
         self.num_nodes = nx * ny * nz
+        self._wrap_x, self._links_x = _line_links(nx, True)
+        self._wrap_y, self._links_y = _line_links(ny, True)
+        self._wrap_z, self._links_z = _line_links(nz, True)
+        # X links per (y, z) line, then Y links per (x, z), then Z per (x, y).
+        self._y_base = ny * nz * self._links_x
+        self._z_base = self._y_base + nx * nz * self._links_y
+        self.num_channels = self._z_base + nx * ny * self._links_z
 
     def coord(self, node: int) -> tuple:
         self._check_node(node)
@@ -218,6 +238,23 @@ class Torus3D(Topology):
             channels.append(_canonical((dx, dy, a), (dx, dy, b)))
         return channels
 
+    def channel_ranges(self, src: int, dst: int) -> tuple:
+        self._check_node(src, dst)
+        nx, ny = self.nx, self.ny
+        s_line, sx = divmod(src, nx)
+        sz, sy = divmod(s_line, ny)
+        d_line, dx = divmod(dst, nx)
+        dz, dy = divmod(d_line, ny)
+        ranges = []
+        hops = _line_ranges(ranges, sx, dx, nx, self._wrap_x, s_line * self._links_x)
+        hops += _line_ranges(
+            ranges, sy, dy, ny, self._wrap_y, self._y_base + (sz * nx + dx) * self._links_y
+        )
+        hops += _line_ranges(
+            ranges, sz, dz, self.nz, self._wrap_z, self._z_base + (dy * nx + dx) * self._links_z
+        )
+        return hops, ranges
+
 
 class FullyConnected(Topology):
     """Idealized crossbar: every node pair has a private channel.
@@ -230,17 +267,26 @@ class FullyConnected(Topology):
         if num_nodes < 1:
             raise ConfigurationError(f"num_nodes must be >= 1, got {num_nodes}")
         self.num_nodes = num_nodes
+        self.num_channels = num_nodes * (num_nodes - 1) // 2
 
     def coord(self, node: int) -> tuple:
         self._check_node(node)
         return (node,)
 
     def route(self, src: int, dst: int) -> list:
-        self._check_node(src)
-        self._check_node(dst)
+        self._check_node(src, dst)
         if src == dst:
             return []
         return [_canonical((src,), (dst,))]
+
+    def channel_ranges(self, src: int, dst: int) -> tuple:
+        self._check_node(src, dst)
+        if src == dst:
+            return 0, []
+        lo, hi = (src, dst) if src < dst else (dst, src)
+        # Pairs numbered (0,1), (0,2), (1,2), (0,3), ...
+        cid = hi * (hi - 1) // 2 + lo
+        return 1, [(cid, cid + 1)]
 
 
 @dataclass
@@ -276,89 +322,17 @@ class ContentionNetwork:
     messages_sent: int = field(default=0, repr=False)
     bytes_sent: int = field(default=0, repr=False)
     total_contention_s: float = field(default=0.0, repr=False)
-    _chan_ids: dict = field(default_factory=dict, repr=False, compare=False)
-    _paths: OrderedDict = field(
-        default_factory=OrderedDict, repr=False, compare=False
-    )
-    _free_times: object = field(
-        default_factory=lambda: np.zeros(64), repr=False, compare=False
-    )
-    _seen_pairs: set = field(default_factory=set, repr=False, compare=False)
-    path_cache_hits: int = field(default=0, repr=False, compare=False)
-    path_cache_misses: int = field(default=0, repr=False, compare=False)
+    #: Free time of every channel, indexed by channel id.  Allocated on
+    #: the first non-local transfer, so a network that never routes
+    #: holds none.
+    _free_at: list = field(default=None, repr=False, compare=False)
 
     def reset(self) -> None:
-        """Clear the channel free times and traffic counters.
-
-        Static route knowledge (interned channel ids, cached path arrays,
-        the topology's route cache) survives: it is a pure function of the
-        topology, so successive runs on one machine reuse it.
-        """
-        self._free_times[:] = 0.0
+        """Clear the channel free times and traffic counters."""
+        self._free_at = None
         self.messages_sent = 0
         self.bytes_sent = 0
         self.total_contention_s = 0.0
-        self.path_cache_hits = 0
-        self.path_cache_misses = 0
-        self.topology.reset_route_cache_stats()
-
-    def _path_ids(self, src: int, dst: int):
-        """Interned-channel-id ``np.intp`` array for the ``src -> dst``
-        route, cached per node pair (LRU-bounded).
-
-        The array is the cache's only per-pair payload on purpose: numpy
-        arrays hold their ints as raw memory the garbage collector never
-        traverses, whereas caching Python lists/tuples of channel tuples
-        for tens of thousands of pairs puts millions of small objects on
-        every generation-2 GC pass and measurably slows the whole
-        simulation (observed at 4096 ranks)."""
-        key = (src << 32) | dst
-        paths = self._paths
-        ids = paths.get(key)
-        if ids is not None:
-            self.path_cache_hits += 1
-            paths.move_to_end(key)
-            return ids
-        self.path_cache_misses += 1
-        seen = self._seen_pairs
-        repeat = key in seen
-        if repeat:
-            # Second sighting: the pair is hot, retain its route and ids.
-            route = self.topology.route_cached(src, dst)
-        else:
-            # First sighting: butterfly exchanges at 4k ranks produce tens
-            # of thousands of pairs used exactly once; retaining a route
-            # tuple + id array for each would push millions of objects
-            # into generation 2 and slow every GC pass.  Compute the route
-            # transiently and remember only a packed int (GC-untracked).
-            seen.add(key)
-            route = self.topology.route(src, dst)
-        chan_ids = self._chan_ids
-        id_list = []
-        for channel in route:
-            cid = chan_ids.get(channel)
-            if cid is None:
-                cid = len(chan_ids)
-                chan_ids[channel] = cid
-            id_list.append(cid)
-        if len(chan_ids) > self._free_times.shape[0]:
-            grown = np.zeros(max(len(chan_ids), 2 * self._free_times.shape[0]))
-            grown[: self._free_times.shape[0]] = self._free_times
-            self._free_times = grown
-        if repeat:
-            # Long hot paths cache an intp array (vectorized walk); short
-            # ones cache the plain int list (scalar reads beat numpy's
-            # fancy-indexing overhead below _VECTOR_HOPS).
-            ids = (
-                np.array(id_list, dtype=np.intp)
-                if len(id_list) > _VECTOR_HOPS
-                else id_list
-            )
-            paths[key] = ids
-            if len(paths) > _PATH_CACHE_MAX:
-                paths.popitem(last=False)
-            return ids
-        return id_list
 
     def transfer(self, src: int, dst: int, nbytes: int, t_inject: float) -> float:
         """Reserve the path for a message and return its delivery time.
@@ -373,24 +347,15 @@ class ContentionNetwork:
         if src == dst:
             return t_inject + nbytes / self.local_bytes_per_s
 
-        ids = self._path_ids(src, dst)
-        free = self._free_times
+        hops, ranges = self.topology.channel_ranges(src, dst)
+        free = self._free_at
+        if free is None:
+            free = self._free_at = [0.0] * self.topology.num_channels
+        # max() over floats returns one of its operands exactly, so the
+        # wait is bitwise that of a walk over the channels one by one.
         t_start = t_inject
-        if type(ids) is list:
-            # Scalar walk (short or one-shot path): plain int indexing into
-            # the numpy store.  float() wraps the read so virtual clocks
-            # stay pure Python floats (digest-stable reprs).
-            hops = len(ids)
-            for cid in ids:
-                busy = free[cid]
-                if busy > t_start:
-                    t_start = float(busy)
-        else:
-            # Cached long row-crossing path: one vectorized gather + max.
-            # float() returns the stored operand exactly, so the math
-            # matches the scalar walk bit for bit.
-            hops = ids.shape[0]
-            busy = float(free[ids].max())
+        for lo, hi in ranges:
+            busy = max(free[lo:hi])
             if busy > t_start:
                 t_start = busy
         self.total_contention_s += t_start - t_inject
@@ -398,9 +363,6 @@ class ContentionNetwork:
         if self.link_slowdown is not None:
             duration *= self.link_slowdown(src, dst, t_start)
         t_end = t_start + duration
-        if type(ids) is list:
-            for cid in ids:
-                free[cid] = t_end
-        else:
-            free[ids] = t_end
+        for lo, hi in ranges:
+            free[lo:hi] = [t_end] * (hi - lo)
         return t_end

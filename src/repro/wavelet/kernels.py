@@ -47,6 +47,7 @@ from repro.errors import ConfigurationError
 from repro.wavelet.conv import (
     analyze_axis,
     analyze_axis_valid,
+    normalize_axis_index,
     synthesize_axis,
     synthesize_axis_valid,
 )
@@ -311,9 +312,17 @@ class LiftingKernel(WaveletKernel):
         )
 
     def synthesize_valid(self, low, high, bank, axis, out_len, front):
-        return lifting_synthesize_axis_valid(
-            low, high, lifting_scheme(bank), axis, out_len, front
-        )
+        scheme = lifting_scheme(bank)
+        # Each subband is shifted into its lane before the steps replay,
+        # so a segment shorter than the larger lane shift has no place.
+        shift = max(abs(scheme.low_shift), abs(scheme.high_shift))
+        length = np.shape(low)[normalize_axis_index(axis, np.ndim(low))]
+        if length < shift:
+            raise ConfigurationError(
+                f"valid-mode {bank.name} lifting synthesis needs subband "
+                f"segments of >= {shift} samples (its lane shift), got {length}"
+            )
+        return lifting_synthesize_axis_valid(low, high, scheme, axis, out_len, front)
 
     def analysis_guard_depths(self, bank):
         # Lifting steps reach both ways; the probed back margin is rounded

@@ -216,10 +216,9 @@ class TestEngineStats:
         stats = self.fan_in().engine_stats
         assert stats["events"] > 0
         assert stats["wildcard_matches"] == 3
-        for key in (
-            "route_cache_hits",
-            "route_cache_misses",
-            "path_cache_hits",
-            "path_cache_misses",
-        ):
-            assert stats[key] >= 0
+        # Routing caches nothing; the two keys the benchmark's trace
+        # reader still reads are literal zeros.
+        assert stats["route_cache_hits"] == 0
+        assert stats["path_cache_hits"] == 0
+        assert "route_cache_misses" not in stats
+        assert "path_cache_misses" not in stats

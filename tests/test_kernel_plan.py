@@ -20,6 +20,7 @@ from repro.wavelet import (
     SingleLoopKernel,
     Subbands2D,
     daubechies_filter,
+    filter_bank_for_length,
     get_kernel,
     haar_filter,
     idwt_1d,
@@ -156,6 +157,16 @@ class TestMinSize:
         for length in (0, 2, 3):
             with pytest.raises(ConfigurationError, match="synthesizes fewer"):
                 idwt_1d(np.zeros(length), [np.zeros(length)], bank, kernel=name)
+
+    @pytest.mark.parametrize("name", ["lifting", "fused", "single-loop"])
+    def test_valid_synthesis_rejects_segments_shorter_than_a_lane_shift(self, name):
+        # D10's low lane shift is 4: three-sample subband segments cannot
+        # be placed in their lanes.
+        bank = filter_bank_for_length(10)
+        assert lifting_scheme(bank).low_shift == 4
+        segment = np.ones((3, 4))
+        with pytest.raises(ConfigurationError, match="lane shift"):
+            get_kernel(name).synthesize_valid(segment, segment, bank, 0, 2, 0)
 
 
 class TestGuardDepths:

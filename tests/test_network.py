@@ -14,7 +14,7 @@ from repro.machines.specs import scaled_mesh, scaled_torus
 @dataclass
 class DictWalkNetwork(ContentionNetwork):
     """The contention network with a per-channel dict walk over freshly
-    computed routes: the reference the path-cached transfer must agree
+    computed routes: the reference the flat-list transfer must agree
     with bit for bit (``max`` over floats returns one of its operands
     exactly, and the duration arithmetic is pure Python in both)."""
 
@@ -195,107 +195,126 @@ class TestContentionNetwork:
         assert net.total_contention_s > 0.0
 
 
-class TestRouteCache:
-    def test_route_cached_matches_route(self):
-        mesh = Mesh2D(4, 4)
-        for src, dst in [(0, 15), (3, 12), (5, 5), (0, 1), (15, 0)]:
-            assert mesh.route_cached(src, dst) == tuple(mesh.route(src, dst))
-
-    def test_hit_miss_counters(self):
-        mesh = Mesh2D(4, 4)
-        mesh.route_cached(0, 5)
-        assert (mesh.route_cache_hits, mesh.route_cache_misses) == (0, 1)
-        mesh.route_cached(0, 5)
-        assert (mesh.route_cache_hits, mesh.route_cache_misses) == (1, 1)
-        # Direction matters: the reverse pair is its own cache entry.
-        mesh.route_cached(5, 0)
-        assert (mesh.route_cache_hits, mesh.route_cache_misses) == (1, 2)
-
-    def test_stats_report(self):
-        torus = Torus3D(2, 2, 2)
-        torus.route_cached(0, 7)
-        torus.route_cached(0, 7)
-        assert torus.route_cache_stats() == (1, 1)
-
-    def test_reset_route_cache_stats(self):
-        mesh = Mesh2D(4, 4)
-        mesh.route_cached(1, 2)
-        mesh.route_cached(1, 2)
-        mesh.reset_route_cache_stats()
-        assert mesh.route_cache_stats() == (0, 0)
-        # The cached routes themselves survive the stats reset.
-        assert mesh.route_cached(1, 2) == tuple(mesh.route(1, 2))
-
-    def test_fully_connected_cached(self):
-        fc = FullyConnected(4)
-        assert fc.route_cached(1, 3) == tuple(fc.route(1, 3))
-        assert fc.route_cached(2, 2) == ()
+def _numbering_cases():
+    meshes = [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (4, 1), (5, 3), (9, 2), (6, 7)]
+    cases = [Mesh2D(w, h, torus=torus) for w, h in meshes for torus in (False, True)]
+    cases += [Torus3D(*dims) for dims in [(1, 1, 1), (2, 2, 2), (3, 2, 5), (1, 3, 2), (4, 3, 1)]]
+    cases += [FullyConnected(n) for n in range(1, 10)]
+    return cases
 
 
-class TestPathCachedTransfer:
-    """The vectorized path-cache fast path must be bitwise-equivalent to
-    the per-channel dict walk of ``DictWalkNetwork``."""
+def _describe(topology):
+    if isinstance(topology, Mesh2D):
+        kind = "torus" if topology.torus else "mesh"
+        return f"{kind}{topology.width}x{topology.height}"
+    if isinstance(topology, Torus3D):
+        return f"torus3d-{topology.nx}x{topology.ny}x{topology.nz}"
+    return f"fc{topology.num_nodes}"
+
+
+@pytest.mark.parametrize("topology", _numbering_cases(), ids=_describe)
+def test_channel_ranges_number_route_densely(topology):
+    """``channel_ranges`` is ``route`` under a dense one-to-one numbering.
+
+    Every channel is the whole route between its two end nodes, so the
+    single-hop routes fix the numbering; every longer route must then map
+    onto exactly the ids its ranges cover.  The extent-2 torus cases
+    matter: there the wrap link and the direct link are one channel.
+    """
+    nodes = range(topology.num_nodes)
+    key_to_id = {}
+    ids_of = {}
+    for src in nodes:
+        for dst in nodes:
+            hops, ranges = topology.channel_ranges(src, dst)
+            ids = [cid for lo, hi in ranges for cid in range(lo, hi)]
+            route = topology.route(src, dst)
+            assert len(set(ids)) == len(ids) == hops == topology.hops(src, dst) == len(route)
+            if hops == 1:
+                assert key_to_id.setdefault(route[0], ids[0]) == ids[0]
+            ids_of[src, dst] = (set(ids), route)
+    assert len(set(key_to_id.values())) == len(key_to_id)
+    for ids, route in ids_of.values():
+        assert ids == {key_to_id[key] for key in route}
+    assert sorted(key_to_id.values()) == list(range(topology.num_channels))
+
+
+@pytest.mark.parametrize(
+    "topology", [Mesh2D(3, 3), Mesh2D(4, 2, torus=True), Torus3D(3, 2, 2), FullyConnected(4)],
+    ids=_describe,
+)
+def test_out_of_range_nodes_raise(topology):
+    n = topology.num_nodes
+    for src, dst in [(n, 0), (0, n), (-1, 0)]:
+        with pytest.raises(CommunicationError):
+            topology.hops(src, dst)
+        with pytest.raises(CommunicationError):
+            ContentionNetwork(topology=topology).transfer(src, dst, 8, 0.0)
+
+
+class TestClosedFormTransfer:
+    """The flat-list transfer over ``channel_ranges`` must be
+    bitwise-equivalent to the per-channel dict walk of ``DictWalkNetwork``."""
 
     def make_pair(self, topology_factory):
         kw = dict(latency_s=1e-4, per_hop_s=1e-6, bytes_per_s=1e7)
-        cached = ContentionNetwork(topology=topology_factory(), **kw)
+        fast = ContentionNetwork(topology=topology_factory(), **kw)
         reference = DictWalkNetwork(topology=topology_factory(), **kw)
-        return cached, reference
+        return fast, reference
 
     def test_bitwise_equivalent_to_uncached_reference(self):
-        cached, reference = self.make_pair(lambda: Mesh2D(4, 4))
-        rng = random.Random(1996)
-        clock = 0.0
-        for _ in range(500):
-            src = rng.randrange(16)
-            dst = rng.randrange(16)
-            nbytes = rng.randrange(0, 50_000)
-            clock += rng.random() * 1e-4
-            got = cached.transfer(src, dst, nbytes, clock)
-            want = reference.transfer(src, dst, nbytes, clock)
-            assert got == want
-        assert cached.total_contention_s == reference.total_contention_s
-        assert cached.bytes_sent == reference.bytes_sent
+        factories = [
+            lambda: Mesh2D(4, 4),
+            lambda: Mesh2D(5, 3, torus=True),
+            lambda: Mesh2D(2, 5, torus=True),
+            lambda: Torus3D(2, 2, 2),
+            lambda: Torus3D(3, 2, 5),
+            lambda: FullyConnected(5),
+        ]
+        for index, factory in enumerate(factories):
+            fast, reference = self.make_pair(factory)
+            if index == 2:
+                # A transient-degradation hook scales durations the same
+                # way on both sides.
+                def slowdown(src, dst, t_start):
+                    return 1.0 + ((src * 7 + dst) % 3) * 0.25
+
+                fast.link_slowdown = reference.link_slowdown = slowdown
+            nodes = fast.topology.num_nodes
+            rng = random.Random(1996)
+            clock = 0.0
+            for _ in range(500):
+                src = rng.randrange(nodes)
+                dst = rng.randrange(nodes)
+                nbytes = rng.randrange(0, 50_000)
+                clock += rng.random() * 1e-4
+                got = fast.transfer(src, dst, nbytes, clock)
+                want = reference.transfer(src, dst, nbytes, clock)
+                assert got == want, _describe(fast.topology)
+            assert fast.total_contention_s == reference.total_contention_s
+            assert fast.bytes_sent == reference.bytes_sent
 
     def test_long_path_vectorized_equivalent(self):
-        # Mesh2D(20, 1): 19 hops end to end, past the vectorization
-        # threshold, so repeat transfers run the ndarray fast path.
-        cached, reference = self.make_pair(lambda: Mesh2D(20, 1))
+        # Mesh2D(20, 1): 19 hops end to end, one 19-channel range, so
+        # repeat transfers wait on the whole range at once.
+        fast, reference = self.make_pair(lambda: Mesh2D(20, 1))
         for _ in range(4):
-            got = cached.transfer(0, 19, 10_000, 0.0)
+            got = fast.transfer(0, 19, 10_000, 0.0)
             want = reference.transfer(0, 19, 10_000, 0.0)
             assert got == want
-        assert cached.total_contention_s == reference.total_contention_s
+        assert fast.total_contention_s == reference.total_contention_s
 
-    def test_path_cache_hits_start_on_third_use(self):
-        # First sighting routes transiently (no retained state), the
-        # second caches the path, the third is the first cache hit.
-        cached, _ = self.make_pair(lambda: Mesh2D(4, 4))
-        cached.transfer(0, 5, 100, 0.0)
-        assert (cached.path_cache_hits, cached.path_cache_misses) == (0, 1)
-        cached.transfer(0, 5, 100, 1.0)
-        assert (cached.path_cache_hits, cached.path_cache_misses) == (0, 2)
-        cached.transfer(0, 5, 100, 2.0)
-        assert (cached.path_cache_hits, cached.path_cache_misses) == (1, 2)
-
-    def test_reset_clears_contention_but_keeps_warm_paths(self):
-        cached, _ = self.make_pair(lambda: Mesh2D(4, 4))
-        first = cached.transfer(0, 5, 10_000, 0.0)
-        for clock in (1.0, 2.0):
-            cached.transfer(0, 5, 10_000, clock)
-        cached.reset()
-        assert cached.path_cache_hits == 0
-        assert cached.total_contention_s == 0.0
+    def test_reset_restores_cold_transfer_cost(self):
+        fast, _ = self.make_pair(lambda: Mesh2D(4, 4))
+        first = fast.transfer(0, 5, 10_000, 0.0)
+        for clock in (0.0, 1.0):
+            fast.transfer(0, 5, 10_000, clock)
+        assert fast.total_contention_s > 0.0
+        fast.reset()
+        assert fast.total_contention_s == 0.0
         # Channel free times are cleared, so the first post-reset
-        # transfer costs exactly what a cold one did; the warmed path is
-        # reused immediately.
-        assert cached.transfer(0, 5, 10_000, 0.0) == first
-        assert cached.path_cache_hits == 1
-
-    def test_self_send_bypasses_path_cache(self):
-        cached, _ = self.make_pair(lambda: Mesh2D(4, 4))
-        cached.transfer(3, 3, 1000, 0.0)
-        assert (cached.path_cache_hits, cached.path_cache_misses) == (0, 0)
+        # transfer costs exactly what a cold one did.
+        assert fast.transfer(0, 5, 10_000, 0.0) == first
 
 
 class TestScaledMesh:
