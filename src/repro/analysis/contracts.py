@@ -12,10 +12,12 @@ payload slice depth of each guard-tag send in the extracted protocol
 depth for the tag's :class:`~repro.machines.tags.GuardRole`.
 
 A payload whose depth the evaluator cannot reduce to an integer is
-skipped silently — the contract is checked where it is decidable, which
-covers every slice form the programs use today (plain and tuple slices,
-negative lower bounds, ``np.stack`` of slices, names resolved through
-the local assignment environment).
+skipped — the contract is checked where it is decidable, which covers
+every slice form the programs use today (plain and tuple slices such as
+``buf[:, front : front + back]`` of a level buffer, negative lower
+bounds, ``np.stack`` of slices, names resolved through the local
+assignment environment).  :func:`guard_sends` lists every send with its
+depth, so a test can require that each one is decided.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ import ast
 from repro.analysis.peers import OPAQUE, eval_atoms, eval_static
 from repro.analysis.rules import Finding, rule
 
-__all__ = ["check_guard_depths", "payload_depth", "REPRESENTATIVE_BANK_LENGTHS"]
+__all__ = [
+    "check_guard_depths",
+    "guard_sends",
+    "payload_depth",
+    "REPRESENTATIVE_BANK_LENGTHS",
+]
 
 RULE_GUARD_DEPTH = rule(
     "PROTO-GUARD-DEPTH-MISMATCH",
@@ -147,19 +154,20 @@ def payload_depth(
     return None
 
 
-def check_guard_depths(proto, paths: dict) -> list:
-    """PROTO-GUARD-DEPTH-MISMATCH findings for one wavelet protocol."""
+def guard_sends(proto):
+    """Every guard-tag send of one wavelet protocol that runs under a
+    registered kernel and a representative bank, as ``(kernel, length,
+    event, side, depth, want)``: ``depth`` is the payload's row count
+    (``None`` where undecidable) and ``want`` the kernel's depth for the
+    tag's ``side``."""
     from repro.machines.tags import GUARD_ROLES
     from repro.wavelet import filter_bank_for_length
     from repro.wavelet.kernels import KERNEL_NAMES
 
     phase = proto.program.phase
-    findings: list = []
-    reported: set = set()
     for kernel in KERNEL_NAMES:
         for length in REPRESENTATIVE_BANK_LENGTHS:
-            bank = filter_bank_for_length(length)
-            env = _contract_env(kernel, bank)
+            env = _contract_env(kernel, filter_bank_for_length(length))
             expected = {
                 "analysis": (env["front"], env["back"]),
                 "synthesis": (env["s_front"], env["s_back"]),
@@ -168,25 +176,31 @@ def check_guard_depths(proto, paths: dict) -> list:
                 if ev.kind != "send" or ev.tag not in GUARD_ROLES:
                     continue
                 side = getattr(GUARD_ROLES[ev.tag], phase)
-                if side is None or (ev.module, ev.line) in reported:
-                    continue
-                if not eval_atoms(ev.atoms, env):
-                    continue  # this send does not run under this kernel
+                if side is None or not eval_atoms(ev.atoms, env):
+                    continue  # no role in this phase, or not run under this kernel
                 depth = payload_depth(ev.payload, ev.payload_env, env)
-                if depth is None:
-                    continue  # undecidable slice: contract not checkable here
                 want = expected[0] if side == "front" else expected[1]
-                if depth != want:
-                    reported.add((ev.module, ev.line))
-                    findings.append(
-                        Finding(
-                            rule_id=RULE_GUARD_DEPTH.id,
-                            module=ev.module,
-                            path=paths.get(ev.module, "<memory>"),
-                            line=ev.line,
-                            message=f"{proto.func}() ships {depth} {side}-guard "
-                            f"row(s) on tag {ev.tag} but the {kernel!r} kernel's "
-                            f"{phase} depth for a length-{length} bank is {want}",
-                        )
-                    )
+                yield kernel, length, ev, side, depth, want
+
+
+def check_guard_depths(proto, paths: dict) -> list:
+    """PROTO-GUARD-DEPTH-MISMATCH findings for one wavelet protocol."""
+    findings: list = []
+    reported: set = set()
+    for kernel, length, ev, side, depth, want in guard_sends(proto):
+        # An undecidable slice (depth None) is not checkable here.
+        if depth in (None, want) or (ev.module, ev.line) in reported:
+            continue
+        reported.add((ev.module, ev.line))
+        findings.append(
+            Finding(
+                rule_id=RULE_GUARD_DEPTH.id,
+                module=ev.module,
+                path=paths.get(ev.module, "<memory>"),
+                line=ev.line,
+                message=f"{proto.func}() ships {depth} {side}-guard "
+                f"row(s) on tag {ev.tag} but the {kernel!r} kernel's "
+                f"{proto.program.phase} depth for a length-{length} bank is {want}",
+            )
+        )
     return findings

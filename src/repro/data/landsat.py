@@ -56,19 +56,24 @@ def landsat_like_scene(
         raise ConfigurationError(f"scene shape must be at least 2x2, got {shape}")
     rng = np.random.default_rng(seed)
 
-    white = rng.standard_normal(shape)
-    fy = np.fft.fftfreq(rows)[:, None]
-    fx = np.fft.fftfreq(cols)[None, :]
-    radius = np.hypot(fy, fx)
+    # Each temporary (white noise, frequency grid, spectrum, complex
+    # terrain) is dropped as soon as it is used and the shaping and the
+    # scaling run in place, so the peak is the FFT's own working set.
+    spectrum = np.fft.fft2(rng.standard_normal(shape))
+    radius = np.hypot(np.fft.fftfreq(rows)[:, None], np.fft.fftfreq(cols)[None, :])
     radius[0, 0] = radius.flat[1]  # avoid the DC singularity
-    envelope = radius ** (-beta / 2.0)
-    terrain = np.fft.ifft2(np.fft.fft2(white) * envelope).real
+    spectrum *= radius ** (-beta / 2.0)
+    del radius
+    terrain = np.fft.ifft2(spectrum).real.copy()
+    del spectrum
 
     terrain += noise_floor * terrain.std() * rng.standard_normal(shape)
 
     lo, hi = terrain.min(), terrain.max()
-    scaled = (terrain - lo) / (hi - lo) * 255.0
-    return scaled.astype(dtype)
+    terrain -= lo
+    terrain /= hi - lo
+    terrain *= 255.0
+    return terrain.astype(dtype, copy=False)
 
 
 def checkerboard(

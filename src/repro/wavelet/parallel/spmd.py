@@ -20,6 +20,17 @@ paper's (no front guard, ``filter_length`` back rows); lifting steps also
 reach backwards, so the lifting kernels add a front-guard exchange in
 the opposite direction.
 
+Guard zones are built in place.  A separable level copies its row-pass
+halves into one ``(2, front + rows + back, cols // 2)`` buffer, ships
+its guards as slices of that buffer and receives its neighbors' guards
+straight into the buffer's margins; the sweep does the same with the raw
+tile.  Each input tile and buffer is released as soon as it is used, so
+a rank holds about one copy of its tile between messages.  A level whose
+local tile is smaller than the kernel's ``min_side`` on either axis, or
+shorter than its guard depths, raises
+:class:`~repro.errors.DecompositionError` at any rank count — the rule
+that keeps every margin a plain slice of owned rows.
+
 Message tags are allocated by the central :mod:`repro.machines.tags`
 registry (distribution, row-guard, column-guard, collection, plus the
 front-guard exchanges and the single-loop sweep's raw-tile guard
@@ -118,9 +129,9 @@ def striped_wavelet_program(
     single :func:`~repro.wavelet.cost.single_loop_sweep_cost`.
     """
     rank, nranks = ctx.rank, ctx.nranks
-    m = bank.length
     impl = get_kernel(kernel)
     front, back = impl.analysis_guard_depths(bank)
+    min_side = impl.min_side(bank)
     sweep = isinstance(impl, SingleLoopKernel)
 
     if restore is not None:
@@ -138,8 +149,9 @@ def striped_wavelet_program(
                 r0, r1 = decomp.row_range(0)
                 current = np.array(image[r0:r1], dtype=np.float64)
             else:
-                received = yield ctx.recv(0, tag=_TAG_DISTRIBUTE)
-                current = np.asarray(received, dtype=np.float64)
+                current = np.asarray(
+                    (yield ctx.recv(0, tag=_TAG_DISTRIBUTE)), dtype=np.float64
+                )
         else:
             r0, r1 = decomp.row_range(rank)
             current = np.array(image[r0:r1], dtype=np.float64)
@@ -150,83 +162,76 @@ def striped_wavelet_program(
 
     for _level in range(start_level, levels):
         rows, cols = current.shape
-        if (rows < m or rows < max(front, back)) and nranks > 1:
+        if min(rows, cols) < min_side or rows < max(front, back):
             raise DecompositionError(
-                f"local stripe of {rows} rows is shorter than the "
-                f"filter/guard requirement; reduce ranks or levels"
+                f"local stripe {rows}x{cols} is smaller than the {impl.name!r} "
+                f"kernel needs ({min_side} per side, {max(front, back)} guard "
+                f"rows); reduce ranks or levels"
             )
         # Domain-decomposition bookkeeping: pure parallelization redundancy.
         yield ctx.compute(intops=64, redundant=True)
 
         if sweep:
-            # Guards of the raw stripe, shipped before any arithmetic
-            # (the sweep has no row-pass intermediates to exchange).
+            # Guards of the raw stripe, shipped before any arithmetic (the
+            # sweep has no row-pass intermediates to exchange), land in the
+            # margins of one extended stripe.
+            ext = np.empty((front + rows + back, cols))
+            ext[front : front + rows] = current
+            del current
             if nranks > 1:
                 if back > 0:
-                    yield ctx.send(north, current[:back], tag=_TAG_SWEEP_GUARD)
+                    yield ctx.send(north, ext[front : front + back], tag=_TAG_SWEEP_GUARD)
                 if front > 0:
                     yield ctx.send(
-                        south, current[rows - front :], tag=_TAG_SWEEP_GUARD_FRONT
+                        south, ext[rows : rows + front], tag=_TAG_SWEEP_GUARD_FRONT
                     )
-                back_rows = (
-                    (yield ctx.recv(south, tag=_TAG_SWEEP_GUARD))
-                    if back > 0
-                    else current[:0]
-                )
-                front_rows = (
-                    (yield ctx.recv(north, tag=_TAG_SWEEP_GUARD_FRONT))
-                    if front > 0
-                    else current[:0]
-                )
+                if back > 0:
+                    ext[front + rows :] = yield ctx.recv(south, tag=_TAG_SWEEP_GUARD)
+                if front > 0:
+                    ext[:front] = yield ctx.recv(north, tag=_TAG_SWEEP_GUARD_FRONT)
             else:
-                back_rows = current[:back]
-                front_rows = current[rows - front :]
+                ext[front + rows :] = ext[front : front + back]
+                ext[:front] = ext[rows : rows + front]
 
-            out_rows = rows // 2
-            ext = np.vstack([front_rows, current, back_rows])
             ll, lh, hl, hh = impl.sweep_valid(
-                ext, bank, out_rows, cols // 2, front, periodic_cols=True
+                ext, bank, rows // 2, cols // 2, front, periodic_cols=True
             )
+            del ext
             yield ctx.charge(impl.level_cost(rows, cols, bank))
         else:
-            # Steps 1-2: row filtering + column decimation, fully local.
-            lo, hi = impl.analyze(current, bank, 1)
+            # Steps 1-2: row filtering + column decimation, fully local,
+            # into one buffer of both halves with guard margins.
+            buf = np.empty((2, front + rows + back, cols // 2))
+            buf[0, front : front + rows], buf[1, front : front + rows] = impl.analyze(
+                current, bank, 1
+            )
+            del current
             yield ctx.charge(impl.analysis_pass_cost(2 * rows * (cols // 2), bank))
 
-            # Guard zone: my top `back` rows of both intermediates go to
-            # the north neighbor (periodic wrap), plus my bottom `front`
-            # rows to the south when the kernel's steps reach backwards.
+            # Guard zone: my top `back` rows of both halves go to the north
+            # neighbor (periodic wrap), plus my bottom `front` rows to the
+            # south when the kernel's steps reach backwards; the neighbors'
+            # rows land in my margins.
             if nranks > 1:
                 if back > 0:
-                    yield ctx.send(
-                        north, np.stack([lo[:back], hi[:back]]), tag=_TAG_COL_GUARD
-                    )
+                    yield ctx.send(north, buf[:, front : front + back], tag=_TAG_COL_GUARD)
                 if front > 0:
                     yield ctx.send(
-                        south,
-                        np.stack([lo[rows - front :], hi[rows - front :]]),
-                        tag=_TAG_COL_GUARD_FRONT,
+                        south, buf[:, rows : rows + front], tag=_TAG_COL_GUARD_FRONT
                     )
                 if back > 0:
-                    guard = yield ctx.recv(south, tag=_TAG_COL_GUARD)
-                    back_lo, back_hi = guard[0], guard[1]
-                else:
-                    back_lo = back_hi = lo[:0]
+                    buf[:, front + rows :] = yield ctx.recv(south, tag=_TAG_COL_GUARD)
                 if front > 0:
-                    guard = yield ctx.recv(north, tag=_TAG_COL_GUARD_FRONT)
-                    front_lo, front_hi = guard[0], guard[1]
-                else:
-                    front_lo = front_hi = lo[:0]
+                    buf[:, :front] = yield ctx.recv(north, tag=_TAG_COL_GUARD_FRONT)
             else:
-                back_lo, back_hi = lo[:back], hi[:back]
-                front_lo, front_hi = lo[rows - front :], hi[rows - front :]
+                buf[:, front + rows :] = buf[:, front : front + back]
+                buf[:, :front] = buf[:, rows : rows + front]
 
             # Steps 3-4: column filtering + row decimation over stripe+guards.
             out_rows = rows // 2
-            ext_lo = np.vstack([front_lo, lo, back_lo])
-            ext_hi = np.vstack([front_hi, hi, back_hi])
-            ll, lh = impl.analyze_valid(ext_lo, bank, 0, out_rows, front)
-            hl, hh = impl.analyze_valid(ext_hi, bank, 0, out_rows, front)
+            ll, lh = impl.analyze_valid(buf[0], bank, 0, out_rows, front)
+            hl, hh = impl.analyze_valid(buf[1], bank, 0, out_rows, front)
+            del buf
             yield ctx.charge(impl.analysis_pass_cost(4 * out_rows * (cols // 2), bank))
 
         local_details.append((lh, hl, hh))
@@ -269,9 +274,9 @@ def block_wavelet_program(
     neighbor owns arrives through the adjacent neighbors' guards — and
     runs one doubly-valid monolithic sweep."""
     rank, nranks = ctx.rank, ctx.nranks
-    m = bank.length
     impl = get_kernel(kernel)
     front, back = impl.analysis_guard_depths(bank)
+    need = max(impl.min_side(bank), front, back)
     sweep = isinstance(impl, SingleLoopKernel)
 
     (r0, r1), (c0, c1) = decomp.block_ranges(rank)
@@ -282,8 +287,9 @@ def block_wavelet_program(
                 yield ctx.send(dst, image[dr0:dr1, dc0:dc1], tag=_TAG_DISTRIBUTE)
             current = np.array(image[r0:r1, c0:c1], dtype=np.float64)
         else:
-            received = yield ctx.recv(0, tag=_TAG_DISTRIBUTE)
-            current = np.asarray(received, dtype=np.float64)
+            current = np.asarray(
+                (yield ctx.recv(0, tag=_TAG_DISTRIBUTE)), dtype=np.float64
+            )
     else:
         current = np.array(image[r0:r1, c0:c1], dtype=np.float64)
 
@@ -295,131 +301,106 @@ def block_wavelet_program(
 
     for _level in range(levels):
         rows, cols = current.shape
-        if (cols < m or rows < m or min(rows, cols) < max(front, back)) and nranks > 1:
+        if min(rows, cols) < need:
             raise DecompositionError(
-                f"local block {rows}x{cols} is smaller than the "
-                f"filter/guard requirement; reduce ranks or levels"
+                f"local block {rows}x{cols} is smaller than the {need} rows and "
+                f"columns the {impl.name!r} kernel needs; reduce ranks or levels"
             )
         yield ctx.compute(intops=128, redundant=True)
 
         out_cols = cols // 2
         out_rows = rows // 2
         if sweep:
-            # Stage 1: east/west column guards of the raw block.
+            # One tile with guard margins on all four sides.  Stage 1:
+            # east/west column guards of the raw block, in its middle rows.
+            full = np.empty((front + rows + back, front + cols + back))
+            ext = full[front : front + rows]
+            ext[:, front : front + cols] = current
+            del current
             if decomp.pcols > 1:
                 if back > 0:
                     yield ctx.send(
-                        west,
-                        np.ascontiguousarray(current[:, :back]),
-                        tag=_TAG_SWEEP_COL_GUARD,
+                        west, ext[:, front : front + back], tag=_TAG_SWEEP_COL_GUARD
                     )
                 if front > 0:
                     yield ctx.send(
-                        east,
-                        np.ascontiguousarray(current[:, cols - front :]),
-                        tag=_TAG_SWEEP_COL_GUARD_FRONT,
+                        east, ext[:, cols : cols + front], tag=_TAG_SWEEP_COL_GUARD_FRONT
                     )
-                guard_east = (
-                    (yield ctx.recv(east, tag=_TAG_SWEEP_COL_GUARD))
-                    if back > 0
-                    else current[:, :0]
-                )
-                guard_west = (
-                    (yield ctx.recv(west, tag=_TAG_SWEEP_COL_GUARD_FRONT))
-                    if front > 0
-                    else current[:, :0]
-                )
+                if back > 0:
+                    ext[:, front + cols :] = yield ctx.recv(east, tag=_TAG_SWEEP_COL_GUARD)
+                if front > 0:
+                    ext[:, :front] = yield ctx.recv(west, tag=_TAG_SWEEP_COL_GUARD_FRONT)
             else:
-                guard_east = current[:, :back]
-                guard_west = current[:, cols - front :]
-            ext = np.hstack([guard_west, current, guard_east])
+                ext[:, front + cols :] = ext[:, front : front + back]
+                ext[:, :front] = ext[:, cols : cols + front]
 
             # Stage 2: north/south row guards of the horizontally-extended
             # block — the neighbors' own east/west guards ride along, so
             # the corner data flows without diagonal messages.
             if decomp.prows > 1:
                 if back > 0:
-                    yield ctx.send(north, ext[:back], tag=_TAG_SWEEP_GUARD)
+                    yield ctx.send(north, full[front : front + back], tag=_TAG_SWEEP_GUARD)
                 if front > 0:
                     yield ctx.send(
-                        south, ext[rows - front :], tag=_TAG_SWEEP_GUARD_FRONT
+                        south, full[rows : rows + front], tag=_TAG_SWEEP_GUARD_FRONT
                     )
-                back_rows = (
-                    (yield ctx.recv(south, tag=_TAG_SWEEP_GUARD))
-                    if back > 0
-                    else ext[:0]
-                )
-                front_rows = (
-                    (yield ctx.recv(north, tag=_TAG_SWEEP_GUARD_FRONT))
-                    if front > 0
-                    else ext[:0]
-                )
+                if back > 0:
+                    full[front + rows :] = yield ctx.recv(south, tag=_TAG_SWEEP_GUARD)
+                if front > 0:
+                    full[:front] = yield ctx.recv(north, tag=_TAG_SWEEP_GUARD_FRONT)
             else:
-                back_rows = ext[:back]
-                front_rows = ext[rows - front :]
-            full = np.vstack([front_rows, ext, back_rows])
+                full[front + rows :] = full[front : front + back]
+                full[:front] = full[rows : rows + front]
             ll, lh, hl, hh = impl.sweep_valid(full, bank, out_rows, out_cols, front, front)
+            del ext, full
             yield ctx.charge(impl.level_cost(rows, cols, bank))
         else:
             # Row filtering: east back guard, plus a west front guard when
-            # the kernel's steps reach backwards.
+            # the kernel's steps reach backwards, in the margins of one
+            # extended block.
+            ext = np.empty((rows, front + cols + back))
+            ext[:, front : front + cols] = current
+            del current
             if decomp.pcols > 1:
                 if back > 0:
-                    yield ctx.send(
-                        west, np.ascontiguousarray(current[:, :back]), tag=_TAG_ROW_GUARD
-                    )
+                    yield ctx.send(west, ext[:, front : front + back], tag=_TAG_ROW_GUARD)
                 if front > 0:
                     yield ctx.send(
-                        east,
-                        np.ascontiguousarray(current[:, cols - front :]),
-                        tag=_TAG_ROW_GUARD_FRONT,
+                        east, ext[:, cols : cols + front], tag=_TAG_ROW_GUARD_FRONT
                     )
-                guard_east = (
-                    (yield ctx.recv(east, tag=_TAG_ROW_GUARD))
-                    if back > 0
-                    else current[:, :0]
-                )
-                guard_west = (
-                    (yield ctx.recv(west, tag=_TAG_ROW_GUARD_FRONT))
-                    if front > 0
-                    else current[:, :0]
-                )
+                if back > 0:
+                    ext[:, front + cols :] = yield ctx.recv(east, tag=_TAG_ROW_GUARD)
+                if front > 0:
+                    ext[:, :front] = yield ctx.recv(west, tag=_TAG_ROW_GUARD_FRONT)
             else:
-                guard_east = current[:, :back]
-                guard_west = current[:, cols - front :]
-            ext = np.hstack([guard_west, current, guard_east])
-            lo, hi = impl.analyze_valid(ext, bank, 1, out_cols, front)
+                ext[:, front + cols :] = ext[:, front : front + back]
+                ext[:, :front] = ext[:, cols : cols + front]
+            buf = np.empty((2, front + rows + back, out_cols))
+            buf[0, front : front + rows], buf[1, front : front + rows] = impl.analyze_valid(
+                ext, bank, 1, out_cols, front
+            )
+            del ext
             yield ctx.charge(impl.analysis_pass_cost(2 * rows * out_cols, bank))
 
-            # Column filtering: south back guard plus north front guard.
+            # Column filtering: south back guard plus north front guard, in
+            # the margins of the halves' buffer.
             if decomp.prows > 1:
                 if back > 0:
-                    yield ctx.send(
-                        north, np.stack([lo[:back], hi[:back]]), tag=_TAG_COL_GUARD
-                    )
+                    yield ctx.send(north, buf[:, front : front + back], tag=_TAG_COL_GUARD)
                 if front > 0:
                     yield ctx.send(
-                        south,
-                        np.stack([lo[rows - front :], hi[rows - front :]]),
-                        tag=_TAG_COL_GUARD_FRONT,
+                        south, buf[:, rows : rows + front], tag=_TAG_COL_GUARD_FRONT
                     )
                 if back > 0:
-                    guard = yield ctx.recv(south, tag=_TAG_COL_GUARD)
-                    back_lo, back_hi = guard[0], guard[1]
-                else:
-                    back_lo = back_hi = lo[:0]
+                    buf[:, front + rows :] = yield ctx.recv(south, tag=_TAG_COL_GUARD)
                 if front > 0:
-                    guard = yield ctx.recv(north, tag=_TAG_COL_GUARD_FRONT)
-                    front_lo, front_hi = guard[0], guard[1]
-                else:
-                    front_lo = front_hi = lo[:0]
+                    buf[:, :front] = yield ctx.recv(north, tag=_TAG_COL_GUARD_FRONT)
             else:
-                back_lo, back_hi = lo[:back], hi[:back]
-                front_lo, front_hi = lo[rows - front :], hi[rows - front :]
-            ext_lo = np.vstack([front_lo, lo, back_lo])
-            ext_hi = np.vstack([front_hi, hi, back_hi])
-            ll, lh = impl.analyze_valid(ext_lo, bank, 0, out_rows, front)
-            hl, hh = impl.analyze_valid(ext_hi, bank, 0, out_rows, front)
+                buf[:, front + rows :] = buf[:, front : front + back]
+                buf[:, :front] = buf[:, rows : rows + front]
+            ll, lh = impl.analyze_valid(buf[0], bank, 0, out_rows, front)
+            hl, hh = impl.analyze_valid(buf[1], bank, 0, out_rows, front)
+            del buf
             yield ctx.charge(impl.analysis_pass_cost(4 * out_rows * out_cols, bank))
 
         local_details.append((lh, hl, hh))

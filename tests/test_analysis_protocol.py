@@ -19,6 +19,7 @@ from repro.analysis import (
     lint_sources,
     validate_sarif,
 )
+from repro.analysis.contracts import guard_sends
 from repro.analysis.linter import LintConfig
 from repro.analysis.rules import parse_suppressions
 from repro.analysis.sources import modules_from_sources
@@ -187,6 +188,53 @@ class TestPlantedFixtures:
             {"fix.depth": source},
             (ProtocolProgram("fix.depth", "offbyone_program", "analysis"),),
         ) == [("PROTO-GUARD-DEPTH-MISMATCH", 10)]
+
+    def test_every_guard_send_is_decided(self, repo_protocols):
+        """The contract skips a payload whose depth it cannot evaluate,
+        so a rewrite of the guard slices could silently drop the check.
+        Every guard send of every wavelet protocol, under every kernel and
+        representative bank it runs with, must have a decided depth."""
+        _, protocols = repo_protocols
+        counts = {}
+        for proto in protocols:
+            if proto.program.phase is None:
+                continue
+            for kernel, length, ev, _side, depth, _want in guard_sends(proto):
+                assert depth is not None, f"{ev.module}:{ev.line} {kernel} D{length}"
+                counts[proto.func] = counts.get(proto.func, 0) + 1
+        assert counts == {
+            "striped_wavelet_program": 16,
+            "block_wavelet_program": 32,
+            "dwt_1d_program": 16,
+            "idwt_1d_program": 22,
+            "striped_reconstruct_program": 22,
+        }
+
+    def test_short_slice_of_level_buffer(self):
+        """A level buffer's back guard cut one row short is flagged at
+        the send."""
+        source = textwrap.dedent(
+            """\
+            import numpy as np
+            from repro.machines.tags import WAVELET_COL_GUARD
+            from repro.wavelet.kernels import get_kernel
+
+            def short_program(ctx, lo, hi, bank, kernel):
+                rank, nranks = ctx.rank, ctx.nranks
+                front, back = get_kernel(kernel).analysis_guard_depths(bank)
+                rows, cols = lo.shape
+                buf = np.empty((2, front + rows + back, cols))
+                buf[0, front : front + rows], buf[1, front : front + rows] = lo, hi
+                if back > 0:
+                    yield ctx.send((rank - 1) % nranks, buf[:, front : front + back - 1], tag=WAVELET_COL_GUARD)
+                    buf[:, front + rows :] = yield ctx.recv((rank + 1) % nranks, tag=WAVELET_COL_GUARD)
+                return buf
+            """
+        )
+        assert _proto_findings(
+            {"fix.short": source},
+            (ProtocolProgram("fix.short", "short_program", "analysis"),),
+        ) == [("PROTO-GUARD-DEPTH-MISMATCH", 12)]
 
     def test_correct_guard_depth_certifies(self):
         """The honest version of the same program is contract-clean."""

@@ -1,5 +1,7 @@
 """Tests for the synthetic data generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,31 @@ class TestLandsatScene:
     def test_tiny_shape_raises(self):
         with pytest.raises(ConfigurationError):
             landsat_like_scene((1, 10))
+
+    #: sha256 of the scene's bytes.  Every Landsat-based artifact and every
+    #: ``paragon-wavelet`` pin is computed from these scenes.
+    PINS = {
+        "default": "e3883dcfbd430fc9a781f842eb7e06e8cac523b5d13a6ad1e115ab063465fea8",
+        "float32-100x37": "0d7fd0505f1580605967d7e3bd420a1c90ba824adfceb74d4171283e51428c04",
+        "smallest": "c8cf430e4f62f8e4f762e2cea6164ab2c67f7ce49453ed914b46bd63644f3c1e",
+        "beta-noise": "43449b8ebaec3ba93fadc9d9bc4e7fb593ae67e518faaab61d5652cec095827b",
+    }
+
+    @pytest.mark.parametrize(
+        "case,shape,kwargs",
+        [
+            ("default", (512, 512), {}),
+            ("float32-100x37", (100, 37), {"seed": 7, "dtype": np.float32}),
+            ("smallest", (2, 2), {}),
+            ("beta-noise", (64, 48), {"beta": 1.5, "noise_floor": 0.1, "seed": 11}),
+        ],
+    )
+    def test_bytes_pinned(self, case, shape, kwargs):
+        scene = landsat_like_scene(shape, **kwargs)
+        assert scene.shape == shape
+        assert scene.dtype == kwargs.get("dtype", np.float64)
+        assert scene.flags.c_contiguous
+        assert hashlib.sha256(scene.tobytes()).hexdigest() == self.PINS[case]
 
     def test_checkerboard_period(self):
         board = checkerboard((8, 8), period=2)

@@ -1,13 +1,22 @@
 """Tests for the coarse-grain SPMD and fine-grain SIMD parallel wavelet
 decompositions: both must reproduce the sequential transform exactly."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.errors import DecompositionError
+from repro.errors import ConfigurationError, DecompositionError
 from repro.machines import paragon
 from repro.machines.simd import MasParMachine, maspar_mp2
-from repro.wavelet import daubechies_filter, filter_bank_for_length, mallat_decompose_2d
+from repro.runtime import JobSpec, RunOptions, launch
+from repro.wavelet import (
+    KERNEL_NAMES,
+    daubechies_filter,
+    filter_bank_for_length,
+    mallat_decompose_2d,
+)
 from repro.wavelet.parallel import (
     BlockDecomposition,
     StripeDecomposition,
@@ -160,6 +169,94 @@ class TestSpmdBlock:
             collect=False,
         ).run.messages_sent
         assert block > striped
+
+
+def _pyramid_or_refusal(decompose):
+    """The pyramid's arrays, or the ``ConfigurationError`` it raised."""
+    try:
+        pyramid = decompose()
+    except ConfigurationError as exc:
+        return exc
+    return [pyramid.approximation] + [
+        band for triple in pyramid.details for band in (triple.lh, triple.hl, triple.hh)
+    ]
+
+
+class TestSpmdEqualsSequential:
+    """One property over the knob grid: wherever the SPMD program runs,
+    its pyramid is bitwise the sequential pyramid of the same kernel, and
+    wherever the sequential transform refuses a configuration, the SPMD
+    program refuses it too, at every rank count."""
+
+    #: Small tiles around the kernels' size limits, square and not.
+    SHAPES = ((4, 64), (8, 64), (16, 64), (32, 32), (64, 16), (12, 48))
+
+    @staticmethod
+    def _fitting_shape(decomposition, nranks, length, levels):
+        """The smallest image whose last-level tiles are ``length`` on a
+        side: rectangular unless the rank grid is square."""
+        prows, pcols = (nranks, 1) if decomposition == "striped" else factor_grid(nranks)
+        return (prows * length << levels, pcols * length << levels)
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("decomposition", ["striped", "block"])
+    def test_bitwise_or_both_refuse(self, decomposition, kernel):
+        rng = np.random.default_rng(2)
+        ran = 0
+        for nranks, length, levels in itertools.product(
+            (1, 2, 4, 8), range(2, 22, 2), (1, 2, 3)
+        ):
+            bank = filter_bank_for_length(length)
+            fitting = self._fitting_shape(decomposition, nranks, length, levels)
+            for shape in self.SHAPES + (fitting,):
+                image = rng.random(shape) * 255
+                case = (nranks, bank.name, levels, shape)
+                sequential = _pyramid_or_refusal(
+                    lambda: mallat_decompose_2d(image, bank, levels, kernel=kernel)
+                )
+                parallel = _pyramid_or_refusal(
+                    lambda: run_spmd_wavelet(
+                        paragon(nranks),
+                        image,
+                        bank,
+                        levels,
+                        decomposition=decomposition,
+                        kernel=kernel,
+                    ).pyramid
+                )
+                if isinstance(sequential, ConfigurationError):
+                    assert isinstance(parallel, ConfigurationError), case
+                elif not isinstance(parallel, ConfigurationError):
+                    ran += 1
+                    assert [(a.shape, a.tobytes()) for a in parallel] == [
+                        (b.shape, b.tobytes()) for b in sequential
+                    ], case
+        assert ran >= 150  # the equality check is not vacuous
+
+
+class TestLaunchMemory:
+    """Guard zones are built in place, so one launch holds about two
+    images' worth of host buffers: the rank tiles, then the gathered
+    pieces and the assembled pyramid."""
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("decomposition", ["striped", "block"])
+    def test_traced_peak_within_bound(self, decomposition, kernel):
+        image = np.random.default_rng(5).random((512, 512)) * 255
+        spec = JobSpec(
+            program="wavelet",
+            params={"image": image, "bank": filter_bank_for_length(8), "levels": 3},
+            options=RunOptions(
+                machine="paragon", nranks=16, kernel=kernel, decomposition=decomposition
+            ),
+        )
+        tracemalloc.start()
+        try:
+            launch(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * image.nbytes, peak / image.nbytes
 
 
 class TestSimdAlgorithms:
