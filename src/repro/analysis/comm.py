@@ -167,7 +167,7 @@ def _expr_text(module: SourceModule, node: ast.expr | None) -> str:
     if node is None:
         return ""
     try:
-        return ast.get_source_segment(module.source, node) or ast.dump(node)
+        return module.segment(node) or ast.dump(node)
     except Exception:
         return ast.dump(node)
 

@@ -17,13 +17,20 @@ responsible for values they mint; values shared through
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import os
+import re
 from dataclasses import dataclass, field
 
 from repro.analysis.rules import parse_suppressions
 
 __all__ = ["SourceModule", "ConstEnv", "ResolvedValue", "discover_package", "modules_from_sources"]
+
+#: One source line as the parser splits them: ended by ``\r\n``, ``\r``
+#: or ``\n`` only (a form feed or other separator stays inside the line),
+#: or the unterminated last line.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
 @dataclass
@@ -45,6 +52,30 @@ class SourceModule:
             tree=ast.parse(source, filename=path),
             suppressions=parse_suppressions(source),
         )
+
+    @functools.cached_property
+    def lines(self) -> list[str]:
+        """The source's lines, each with its line end, split once."""
+        return _LINE.findall(self.source)
+
+    def segment(self, node: ast.expr) -> str | None:
+        """``ast.get_source_segment(self.source, node)``, sliced from
+        :attr:`lines` instead of splitting the source again.  Column
+        offsets count UTF-8 bytes, as in the AST."""
+        try:
+            first, start = node.lineno - 1, node.col_offset
+            last, end = node.end_lineno, node.end_col_offset
+        except AttributeError:  # a node built without positions
+            return None
+        if last is None or end is None:
+            return None
+        last -= 1
+        lines = self.lines
+        if first == last:
+            return lines[first].encode()[start:end].decode()
+        head = lines[first].encode()[start:].decode()
+        tail = lines[last].encode()[:end].decode()
+        return "".join([head, *lines[first + 1 : last], tail])
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,25 @@ statistics — and adding a small white-noise floor.
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 __all__ = ["landsat_like_scene", "checkerboard", "impulse_image"]
+
+
+def _scene_shape(shape) -> tuple[int, int]:
+    """``shape`` as two ints, each at least 2 (NumPy integers accepted)."""
+    try:
+        rows, cols = (operator.index(n) for n in shape)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"scene shape must be two integers, got {shape!r}") from None
+    if rows < 2 or cols < 2:
+        raise ConfigurationError(f"scene shape must be at least 2x2, got {shape}")
+    return rows, cols
 
 
 def landsat_like_scene(
@@ -34,13 +48,13 @@ def landsat_like_scene(
     Parameters
     ----------
     shape:
-        Output image shape ``(rows, cols)``.
+        Output image shape ``(rows, cols)``: two integers, each at least 2.
     beta:
         Power-law exponent of the spatial spectrum (|F(k)|^2 ~ 1/|k|^beta).
-        Natural terrain imagery sits near ``beta ~ 2``.
+        Natural terrain imagery sits near ``beta ~ 2``.  Must be finite.
     noise_floor:
         Relative amplitude of the additive white-noise component modelling
-        sensor noise.
+        sensor noise.  Must be finite and non-negative.
     seed:
         Seed for the deterministic random generator.
     dtype:
@@ -50,24 +64,44 @@ def landsat_like_scene(
     -------
     numpy.ndarray
         Array of ``shape`` with values in ``[0, 255]``.
+
+    Raises
+    ------
+    ConfigurationError
+        For any argument outside the ranges above.
     """
-    rows, cols = shape
-    if rows < 2 or cols < 2:
-        raise ConfigurationError(f"scene shape must be at least 2x2, got {shape}")
+    rows, cols = _scene_shape(shape)
+    if not math.isfinite(beta):
+        raise ConfigurationError(f"beta must be finite, got {beta!r}")
+    if not (math.isfinite(noise_floor) and noise_floor >= 0):
+        raise ConfigurationError(
+            f"noise_floor must be finite and non-negative, got {noise_floor!r}"
+        )
+    try:
+        floating = np.issubdtype(np.dtype(dtype), np.floating)
+    except TypeError:
+        floating = False
+    if not floating:
+        raise ConfigurationError(f"dtype must be a floating dtype, got {dtype!r}")
     rng = np.random.default_rng(seed)
 
-    # Each temporary (white noise, frequency grid, spectrum, complex
-    # terrain) is dropped as soon as it is used and the shaping and the
-    # scaling run in place, so the peak is the FFT's own working set.
-    spectrum = np.fft.fft2(rng.standard_normal(shape))
+    # The 2-D FFTs run as the per-axis passes ``fft2``/``ifft2`` make, in
+    # their order (axis -1, then axis -2), so the bytes are theirs.  Each
+    # pass's input is dropped when its output is bound, so the peak is one
+    # complex input plus one complex output: 4x the float64 scene.
+    spectrum = rng.standard_normal((rows, cols)).astype(np.complex128)
+    spectrum = np.fft.fft(spectrum, axis=-1)
+    spectrum = np.fft.fft(spectrum, axis=-2)
     radius = np.hypot(np.fft.fftfreq(rows)[:, None], np.fft.fftfreq(cols)[None, :])
     radius[0, 0] = radius.flat[1]  # avoid the DC singularity
     spectrum *= radius ** (-beta / 2.0)
     del radius
-    terrain = np.fft.ifft2(spectrum).real.copy()
+    spectrum = np.fft.ifft(spectrum, axis=-1)
+    spectrum = np.fft.ifft(spectrum, axis=-2)
+    terrain = spectrum.real.copy()
     del spectrum
 
-    terrain += noise_floor * terrain.std() * rng.standard_normal(shape)
+    terrain += noise_floor * terrain.std() * rng.standard_normal((rows, cols))
 
     lo, hi = terrain.min(), terrain.max()
     terrain -= lo

@@ -182,8 +182,8 @@ def _build_wavelet(spec: JobSpec, nranks: int) -> Launch:
         factor_grid,
     )
     from repro.wavelet.parallel.spmd import (
-        _assemble_block,
-        _assemble_striped,
+        SpmdWaveletOutcome,
+        _assemble_pyramid,
         block_wavelet_program,
         striped_wavelet_program,
     )
@@ -207,17 +207,9 @@ def _build_wavelet(spec: JobSpec, nranks: int) -> Launch:
     if opts.decomposition == "striped":
         decomp = StripeDecomposition(image.shape[0], image.shape[1], nranks, levels)
         program = striped_wavelet_program
+        pcols = 1
         if opts.checkpoint_interval > 0:
             kwargs["checkpoint_interval"] = opts.checkpoint_interval
-
-        def assemble(run):
-            from repro.wavelet.parallel.spmd import SpmdWaveletOutcome
-
-            pyramid = None
-            if run.results[0] is not None and (collect or nranks == 1):
-                pyramid = _assemble_striped(run.results[0], bank.name, levels)
-            return SpmdWaveletOutcome(run=run, pyramid=pyramid)
-
     elif opts.decomposition == "block":
         if opts.checkpoint_interval > 0:
             raise ConfigurationError(
@@ -226,19 +218,16 @@ def _build_wavelet(spec: JobSpec, nranks: int) -> Launch:
         prows, pcols = factor_grid(nranks)
         decomp = BlockDecomposition(image.shape[0], image.shape[1], prows, pcols, levels)
         program = block_wavelet_program
-
-        def assemble(run):
-            from repro.wavelet.parallel.spmd import SpmdWaveletOutcome
-
-            pyramid = None
-            if run.results[0] is not None and (collect or nranks == 1):
-                pyramid = _assemble_block(run.results[0], decomp, bank.name, levels)
-            return SpmdWaveletOutcome(run=run, pyramid=pyramid)
-
     else:
         raise DecompositionError(
             f"unknown decomposition {opts.decomposition!r}; use 'striped' or 'block'"
         )
+
+    def assemble(run):
+        pyramid = None
+        if run.results[0] is not None and (collect or nranks == 1):
+            pyramid = _assemble_pyramid(run.results[0], pcols, bank.name, levels)
+        return SpmdWaveletOutcome(run=run, pyramid=pyramid)
 
     return Launch(
         program=program,

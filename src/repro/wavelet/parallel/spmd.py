@@ -47,6 +47,7 @@ charges one sweep instead of two passes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,9 @@ _TAG_SWEEP_COL_GUARD_FRONT = tags.WAVELET_SWEEP_COL_GUARD_FRONT
 @dataclass
 class SpmdWaveletOutcome:
     """A parallel decomposition run: engine result plus assembled pyramid
-    (``None`` when ``collect=False``)."""
+    (``None`` when ``collect=False``).  The gathered pieces in
+    ``run.results[0]`` are views of the pyramid's bands, so writing to
+    one writes to the other."""
 
     run: RunResult
     pyramid: WaveletPyramid
@@ -418,38 +421,44 @@ def block_wavelet_program(
     return [pieces] if rank == 0 else None
 
 
-def _assemble_striped(gathered, bank_name: str, levels: int) -> WaveletPyramid:
-    approx = np.vstack([p["approx"] for p in gathered])
+def _fill_band(parts: list, pcols: int) -> tuple[np.ndarray, list]:
+    """Copy ``parts``, laid out row-major on a grid ``pcols`` pieces wide,
+    into one new band; return the band and each part's view of it."""
+    rows = [0, *itertools.accumulate(part.shape[0] for part in parts[::pcols])]
+    cols = [0, *itertools.accumulate(part.shape[1] for part in parts[:pcols])]
+    band = np.empty((rows[-1], cols[-1]), dtype=np.result_type(*parts))
+    views = []
+    for index, part in enumerate(parts):
+        br, bc = divmod(index, pcols)
+        view = band[rows[br] : rows[br + 1], cols[bc] : cols[bc + 1]]
+        view[...] = part
+        views.append(view)
+    return band, views
+
+
+def _assemble_pyramid(gathered: list, pcols: int, bank_name: str, levels: int) -> WaveletPyramid:
+    """The pyramid of the ranks' gathered pieces, in rank order on a grid
+    ``pcols`` ranks wide (1 under striping).
+
+    Each band is allocated once, and every piece is copied into its place
+    and then rebound in ``gathered`` to its view of the band, so the
+    pieces and the pyramid are one copy of the result (writing to one
+    writes to the other) and at most one band's old pieces are alive at
+    a time.
+    """
+    approx, views = _fill_band([p["approx"] for p in gathered], pcols)
+    for piece, view in zip(gathered, views):
+        piece["approx"] = view
     details = []
     for level in range(levels):
-        details.append(
-            DetailTriple(
-                lh=np.vstack([p["details"][level][0] for p in gathered]),
-                hl=np.vstack([p["details"][level][1] for p in gathered]),
-                hh=np.vstack([p["details"][level][2] for p in gathered]),
-            )
-        )
-    return WaveletPyramid(approx, tuple(details), bank_name)
-
-
-def _assemble_block(gathered, decomp: BlockDecomposition, bank_name: str, levels: int):
-    def grid_stack(index):
-        rows = []
-        for br in range(decomp.prows):
-            row = [index(br * decomp.pcols + bc) for bc in range(decomp.pcols)]
-            rows.append(np.hstack(row))
-        return np.vstack(rows)
-
-    approx = grid_stack(lambda r: gathered[r]["approx"])
-    details = []
-    for level in range(levels):
-        details.append(
-            DetailTriple(
-                lh=grid_stack(lambda r: gathered[r]["details"][level][0]),
-                hl=grid_stack(lambda r: gathered[r]["details"][level][1]),
-                hh=grid_stack(lambda r: gathered[r]["details"][level][2]),
-            )
-        )
+        triple = []
+        for k in range(3):
+            band, views = _fill_band([p["details"][level][k] for p in gathered], pcols)
+            for piece, view in zip(gathered, views):
+                old = piece["details"][level]
+                piece["details"][level] = (*old[:k], view, *old[k + 1 :])
+            triple.append(band)
+        details.append(DetailTriple(*triple))
     return WaveletPyramid(approx, tuple(details), bank_name)
 
 

@@ -7,6 +7,7 @@ that fires on the wrong site fails.  Planted tag values sit in the 7000s
 so they can never collide with the central registry's real allocations.
 """
 
+import ast
 import textwrap
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.analysis import ALL_RULES, lint_sources, load_baseline, write_baseline
 from repro.analysis.linter import LintConfig
 from repro.analysis.rules import Finding, parse_suppressions
+from repro.analysis.sources import SourceModule
 
 
 def lint(sources, **config_kwargs):
@@ -650,3 +652,32 @@ class TestRuleCatalogue:
         for rule in ALL_RULES.values():
             assert rule.severity in ("error", "warning")
             assert rule.summary and rule.fix_hint
+
+
+class TestSourceSegments:
+    """``SourceModule.segment`` slices one line table per module and must
+    return exactly what ``ast.get_source_segment`` returns: lines end at
+    ``\\r\\n``, ``\\r`` or ``\\n`` only, and column offsets count UTF-8
+    bytes."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "yield ctx.send(dst, x, tag=T)\n",
+            "a = 1\r\nb = ctx.send(\r\n    (rank + 1) % n,\r\n    buf)\r\n",
+            "a = 1\rb = f(x,\r  y)\r",
+            "\x0cx = f(\x0c 1,\n  2)\ny = [3, '\x1c\x85\u2028', f(4,\n 5)]\n",
+            "s = 'é€𝄞' + g('ü',\n  'ß')\nt = h('→')",
+            "x = f(1,\n\n  2)",
+        ],
+    )
+    def test_matches_get_source_segment(self, source):
+        module = SourceModule.from_source("m", source)
+        nodes = [n for n in ast.walk(module.tree) if isinstance(n, ast.expr)]
+        assert nodes
+        for node in nodes:
+            assert module.segment(node) == ast.get_source_segment(source, node)
+
+    def test_node_without_positions(self):
+        module = SourceModule.from_source("m", "x = 1\n")
+        assert module.segment(ast.Name(id="x", ctx=ast.Load())) is None

@@ -1,6 +1,7 @@
 """Tests for the synthetic data generators."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,47 @@ class TestLandsatScene:
     def test_tiny_shape_raises(self):
         with pytest.raises(ConfigurationError):
             landsat_like_scene((1, 10))
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_beta_raises(self, beta):
+        with pytest.raises(ConfigurationError, match="beta"):
+            landsat_like_scene((8, 8), beta=beta)
+
+    @pytest.mark.parametrize("noise_floor", [float("nan"), float("inf"), -0.5])
+    def test_bad_noise_floor_raises(self, noise_floor):
+        with pytest.raises(ConfigurationError, match="noise_floor"):
+            landsat_like_scene((8, 8), noise_floor=noise_floor)
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 8, 3), 8])
+    def test_shape_not_two_dims_raises(self, shape):
+        with pytest.raises(ConfigurationError, match="shape"):
+            landsat_like_scene(shape)
+
+    @pytest.mark.parametrize("shape", [(4.5, 8), (8, "8")])
+    def test_non_integer_shape_raises(self, shape):
+        with pytest.raises(ConfigurationError, match="shape"):
+            landsat_like_scene(shape)
+
+    def test_numpy_integer_shape_accepted(self):
+        np.testing.assert_array_equal(
+            landsat_like_scene((np.int64(16), np.int32(8))), landsat_like_scene((16, 8))
+        )
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.complex128, bool])
+    def test_non_floating_dtype_raises(self, dtype):
+        with pytest.raises(ConfigurationError, match="dtype"):
+            landsat_like_scene((8, 8), dtype=dtype)
+
+    def test_traced_peak_within_bound(self):
+        """The 2-D FFTs run one axis at a time and drop each input, so the
+        peak is one complex input plus one complex output (4x the scene)."""
+        tracemalloc.start()
+        try:
+            scene = landsat_like_scene((512, 512))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * scene.nbytes, peak / scene.nbytes
 
     #: sha256 of the scene's bytes.  Every Landsat-based artifact and every
     #: ``paragon-wavelet`` pin is computed from these scenes.
