@@ -11,16 +11,20 @@ so this rule enforces the pairing statically:
     parameter is ``ctx``) with no ``ctx.compute``/``ctx.charge``/
     ``ctx.elapse`` yield between it and the next communication operation
     (``ctx.send``/``ctx.recv``/``ctx.checkpoint``, or a ``yield from``
-    of a collective) or the end of the body.
+    of a collective or of a communicating helper) or the end of the
+    body.
 
 The check is a small abstract interpretation over the statement list: a
 *pending* set of uncharged kernel calls flows through the body; charging
-yields clear it, communication yields flush it (emitting findings),
-``yield from`` of an unknown helper clears it without findings (the
-helper may charge internally — helpers that are themselves ``ctx``
-generators are analyzed on their own).  ``if``/``else`` branches are
-analyzed independently and joined by union; loop bodies run twice so a
-kernel pending at the bottom of a loop meets a communication at the top.
+yields clear it, communication yields flush it (emitting findings), and
+so does ``yield from`` of a collective or of a *communicating helper* (a
+``ctx`` generator the analyzed modules define that communicates and
+never charges, like the wavelet guard exchange).  ``yield from`` of any
+other helper clears it without findings (the helper may charge
+internally — helpers that are themselves ``ctx`` generators are analyzed
+on their own).  ``if``/``else`` branches are analyzed independently and
+joined by union; loop bodies run twice so a kernel pending at the bottom
+of a loop meets a communication at the top.
 """
 
 from __future__ import annotations
@@ -145,6 +149,19 @@ def _is_program(node: ast.FunctionDef) -> bool:
     return False
 
 
+def _communicating_helpers(programs: list[ast.FunctionDef]) -> frozenset[str]:
+    """Names of the ``ctx`` generators whose yields all communicate (none
+    charges or runs another helper), unless another definition shares
+    the name."""
+    verdicts: dict[str, set[bool]] = {}
+    for node in programs:
+        stmts = (n for n in ast.walk(node) if isinstance(n, ast.stmt))
+        kinds = {e[0] for e in (_yield_effect(n, frozenset()) for n in stmts) if e}
+        verdict = bool(kinds) and not kinds & {"charge", "neutral"}
+        verdicts.setdefault(node.name, set()).add(verdict)
+    return frozenset(name for name, seen in verdicts.items() if seen == {True})
+
+
 def _ctx_method(call: ast.Call) -> str | None:
     func = call.func
     if (
@@ -156,16 +173,56 @@ def _ctx_method(call: ast.Call) -> str | None:
     return None
 
 
+def _yield_effect(stmt: ast.stmt, helpers: frozenset[str]) -> tuple[str, int] | None:
+    """Classify the yield carried by this statement, if any.
+
+    Returns ("charge"|"neutral"|<what flushes>, line) or None.
+    """
+    value: ast.expr | None = None
+    if isinstance(stmt, ast.Expr):
+        value = stmt.value
+    elif isinstance(stmt, ast.Assign):
+        value = stmt.value
+    elif isinstance(stmt, ast.AnnAssign):
+        value = stmt.value
+    elif isinstance(stmt, ast.AugAssign):
+        value = stmt.value
+    elif isinstance(stmt, ast.Return):
+        value = stmt.value
+    if isinstance(value, ast.Yield) and isinstance(value.value, ast.Call):
+        method = _ctx_method(value.value)
+        if method in _CHARGE_METHODS:
+            return ("charge", stmt.lineno)
+        if method in _FLUSH_METHODS:
+            return (f"ctx.{method}", stmt.lineno)
+        return None
+    if isinstance(value, ast.YieldFrom):
+        call = value.value
+        if isinstance(call, ast.Call):
+            parts = _dotted_parts(call.func)
+            name = parts[-1] if parts else None
+            if name in COLLECTIVE_FUNCS:
+                return (f"collective {name}", stmt.lineno)
+            if name in helpers:
+                return (f"helper {name}", stmt.lineno)
+        # Any other subroutine may charge internally (it is checked on
+        # its own if it is a ctx generator) — clear, no findings.
+        return ("neutral", stmt.lineno)
+    return None
+
+
 class _ProgramChecker:
     def __init__(
         self,
         module: SourceModule,
         kernel_calls: frozenset[str],
         numpy_aliases: set[str],
+        helpers: frozenset[str],
     ) -> None:
         self.module = module
         self.kernel_calls = kernel_calls
         self.numpy_aliases = numpy_aliases
+        self.helpers = helpers
         self.findings: list[Finding] = []
 
     # -- kernel-call scan --------------------------------------------------
@@ -208,41 +265,6 @@ class _ProgramChecker:
             )
         return set()
 
-    def _yield_effect(self, stmt: ast.stmt) -> tuple[str, int] | None:
-        """Classify the yield carried by this statement, if any.
-
-        Returns ("charge"|"flush"|"neutral", line) or None.
-        """
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Expr):
-            value = stmt.value
-        elif isinstance(stmt, ast.Assign):
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            value = stmt.value
-        elif isinstance(stmt, ast.AugAssign):
-            value = stmt.value
-        elif isinstance(stmt, ast.Return):
-            value = stmt.value
-        if isinstance(value, ast.Yield) and isinstance(value.value, ast.Call):
-            method = _ctx_method(value.value)
-            if method in _CHARGE_METHODS:
-                return ("charge", stmt.lineno)
-            if method in _FLUSH_METHODS:
-                return (f"ctx.{method}", stmt.lineno)
-            return None
-        if isinstance(value, ast.YieldFrom):
-            call = value.value
-            if isinstance(call, ast.Call):
-                parts = _dotted_parts(call.func)
-                name = parts[-1] if parts else None
-                if name in COLLECTIVE_FUNCS:
-                    return (f"collective {name}", stmt.lineno)
-            # Unknown subroutine: it may charge internally (it is checked
-            # on its own if it is a ctx generator) — clear, no findings.
-            return ("neutral", stmt.lineno)
-        return None
-
     def _run_block(self, body: list[ast.stmt], pending: set[_Pending]) -> set[_Pending]:
         for stmt in body:
             pending = self._run_stmt(stmt, pending)
@@ -279,7 +301,7 @@ class _ProgramChecker:
 
         # Simple statement: note its kernels, then apply its yield effect.
         pending = pending | set(self._kernels_in(stmt))
-        effect = self._yield_effect(stmt)
+        effect = _yield_effect(stmt, self.helpers)
         if effect is not None:
             kind, line = effect
             if kind == "charge" or kind == "neutral":
@@ -299,12 +321,20 @@ def check_charging(
     kernel_calls: frozenset[str] = DEFAULT_KERNEL_CALLS,
 ) -> list[Finding]:
     """Run the charging rule over every rank-program body."""
+    programs = [
+        [
+            node
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.FunctionDef) and _is_program(node)
+        ]
+        for module in modules
+    ]
+    helpers = _communicating_helpers([node for nodes in programs for node in nodes])
     findings: list[Finding] = []
-    for module in modules:
+    for module, nodes in zip(modules, programs):
         aliases = _numpy_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.FunctionDef) and _is_program(node):
-                checker = _ProgramChecker(module, kernel_calls, aliases)
-                checker.run(node)
-                findings.extend(checker.findings)
+        for node in nodes:
+            checker = _ProgramChecker(module, kernel_calls, aliases, helpers)
+            checker.run(node)
+            findings.extend(checker.findings)
     return findings

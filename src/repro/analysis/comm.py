@@ -140,27 +140,8 @@ class CommSummary:
     sites: list[CommSite]
 
     @property
-    def sends(self) -> list[CommSite]:
-        return [s for s in self.sites if s.kind == "send"]
-
-    @property
     def recvs(self) -> list[CommSite]:
         return [s for s in self.sites if s.kind == "recv"]
-
-    @property
-    def collectives(self) -> list[CommSite]:
-        return [s for s in self.sites if s.kind == "collective"]
-
-    @property
-    def wildcard_recvs(self) -> list[CommSite]:
-        return [s for s in self.recvs if s.wildcard_src or s.wildcard_tag]
-
-    def tag_values(self, kind: str | None = None) -> set[int]:
-        return {
-            s.tag_value
-            for s in self.sites
-            if s.tag_value is not None and (kind is None or s.kind == kind)
-        }
 
 
 def _expr_text(module: SourceModule, node: ast.expr | None) -> str:
@@ -172,7 +153,8 @@ def _expr_text(module: SourceModule, node: ast.expr | None) -> str:
         return ast.dump(node)
 
 
-def _kwarg(call: ast.Call, name: str) -> ast.expr | None:
+def kwarg(call: ast.Call, name: str) -> ast.expr | None:
+    """The value of keyword argument ``name`` of ``call``, if passed."""
     for keyword in call.keywords:
         if keyword.arg == name:
             return keyword.value
@@ -254,8 +236,8 @@ class _CommVisitor(ast.NodeVisitor):
         )
 
     def _record_send(self, node: ast.Call) -> None:
-        dst = node.args[0] if node.args else _kwarg(node, "dst")
-        tag_text, tag_value, minted, literal = self._tag_fields(_kwarg(node, "tag"))
+        dst = node.args[0] if node.args else kwarg(node, "dst")
+        tag_text, tag_value, minted, literal = self._tag_fields(kwarg(node, "tag"))
         self.sites.append(
             CommSite(
                 module=self.module.name,
@@ -271,15 +253,15 @@ class _CommVisitor(ast.NodeVisitor):
         )
 
     def _record_recv(self, node: ast.Call) -> None:
-        src = node.args[0] if node.args else _kwarg(node, "src")
-        tag_node = _kwarg(node, "tag")
+        src = node.args[0] if node.args else kwarg(node, "src")
+        tag_node = kwarg(node, "tag")
         wildcard_src = _is_wildcard(self.env, src)
         wildcard_tag = _is_wildcard(self.env, tag_node)
         if wildcard_tag:
             tag_text, tag_value, minted, literal = ("<ANY_TAG>", None, False, False)
         else:
             tag_text, tag_value, minted, literal = self._tag_fields(tag_node)
-        timeout = _kwarg(node, "timeout_s")
+        timeout = kwarg(node, "timeout_s")
         has_timeout = timeout is not None and not (
             isinstance(timeout, ast.Constant) and timeout.value is None
         )
@@ -301,7 +283,7 @@ class _CommVisitor(ast.NodeVisitor):
         )
 
     def _record_collective(self, node: ast.Call, name: str) -> None:
-        tag_node = _kwarg(node, "tag")
+        tag_node = kwarg(node, "tag")
         tag_text, tag_value, minted, literal = self._tag_fields(tag_node)
         if tag_node is None:
             # Collectives default to their registry tag, not to 0.

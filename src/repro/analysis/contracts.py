@@ -2,22 +2,25 @@
 
 Every wavelet SPMD program ships guard rows sized by the kernel's
 ``analysis_guard_depths`` / ``synthesis_guard_depths``.  The depths are
-*data* (per kernel × filter bank), the slices are *code*
-(``current[:back]``, ``current[rows - front:]``, ``b[rows - s_front:]``),
-and nothing ties them together until a transform silently corrupts its
-seam.  This check closes the loop statically: for every registered
-kernel and a representative set of filter banks, it evaluates the
-payload slice depth of each guard-tag send in the extracted protocol
-(:mod:`repro.analysis.protocol`) and compares it against the kernel's
-depth for the tag's :class:`~repro.machines.tags.GuardRole`.
+*data* (per kernel × filter bank), the slices are *code* (in
+:func:`~repro.wavelet.parallel.decomposition.exchange_guards`,
+``zone[front : front + back]`` and ``zone[owned : owned + front]``, read
+through each call's bound arguments), and nothing ties them together
+until a transform silently corrupts its seam.  This check closes the
+loop statically: for every registered kernel and a representative set
+of filter banks, it evaluates the payload slice depth of each guard-tag
+send in the extracted protocol (:mod:`repro.analysis.protocol`) and
+compares it against the kernel's depth for the tag's
+:class:`~repro.machines.tags.GuardRole`.
 
 A payload whose depth the evaluator cannot reduce to an integer is
 skipped — the contract is checked where it is decidable, which covers
-every slice form the programs use today (plain and tuple slices such as
-``buf[:, front : front + back]`` of a level buffer, negative lower
-bounds, ``np.stack`` of slices, names resolved through the local
-assignment environment).  :func:`guard_sends` lists every send with its
-depth, so a test can require that each one is decided.
+every slice form the programs use today: plain and tuple slices such as
+``buf[:, front : front + back]`` of a level buffer, ``...`` dimensions
+(``buf[..., a:b, :]``), negative lower bounds, slices wrapped in
+``np.asarray``/``.copy()``/``.swapaxes()``, and names resolved through
+the local assignment environment.  :func:`guard_sends` lists every send
+with its depth, so a test can require that each one is decided.
 """
 
 from __future__ import annotations
@@ -62,24 +65,17 @@ def _contract_env(kernel: str, bank) -> dict:
     front, back = impl.analysis_guard_depths(bank)
     s_front, s_back = impl.synthesis_guard_depths(bank)
     return {
-        "m": bank.length,
         "front": front,
         "back": back,
         "s_front": s_front,
         "s_back": s_back,
-        "guard_depth": max(1, bank.length // 2),
         "sweep": kernel == "single-loop",
         "nranks": 4,
-        "distribute": True,
-        "collect": True,
-        "restore": None,
-        "checkpoint_interval": 0,
         "decomp.pcols": 2,
         "decomp.prows": 2,
         "rows": _SIZE,
         "cols": _SIZE,
         "length": _SIZE,
-        "levels": 2,
     }
 
 
@@ -94,7 +90,9 @@ def _eval_int(node: ast.expr | None, env: dict) -> int | None:
 
 def _slice_depth(node: ast.expr, env: dict):
     """Depth selected by one subscript dimension: an int, ``_FULL`` for an
-    unbounded slice, or ``None`` when undecidable/not-a-slice."""
+    unbounded slice or an ``...``, or ``None`` when undecidable/not-a-slice."""
+    if isinstance(node, ast.Constant) and node.value is Ellipsis:
+        return _FULL
     if not isinstance(node, ast.Slice):
         return None  # an index expression selects a scalar, not a depth
     if node.step is not None:
@@ -117,7 +115,7 @@ def _slice_depth(node: ast.expr, env: dict):
     return upper - lower
 
 
-_WRAPPER_CALLS = ("stack", "ascontiguousarray", "asarray", "array", "concatenate")
+_WRAPPER_CALLS = ("ascontiguousarray", "asarray", "array")
 
 
 def payload_depth(
@@ -136,14 +134,9 @@ def payload_depth(
         if len(bounded) == 1 and all(d is not None for d in depths):
             return bounded[0]
         return None
-    if isinstance(expr, (ast.List, ast.Tuple)):
-        inner = {payload_depth(e, payload_env, env, _depth + 1) for e in expr.elts}
-        return inner.pop() if len(inner) == 1 else None
-    if isinstance(expr, ast.ListComp):
-        return payload_depth(expr.elt, payload_env, env, _depth + 1)
     if isinstance(expr, ast.Call):
         func = expr.func
-        if isinstance(func, ast.Attribute) and func.attr == "copy" and not expr.args:
+        if isinstance(func, ast.Attribute) and func.attr in ("copy", "swapaxes"):
             return payload_depth(func.value, payload_env, env, _depth + 1)
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None

@@ -10,7 +10,9 @@ every processor count at once.
 For each registered SPMD program (:data:`DEFAULT_PROTOCOL_PROGRAMS`) an
 abstract interpreter walks the program AST — inlining ``yield from``
 helper generators in the same module or imported from analyzed
-``repro.*`` modules — and extracts an ordered sequence of
+``repro.*`` modules, each parameter bound to the caller's argument (read
+in the caller's frame and module, so a helper's ``back > 0`` called with
+``s_back`` reads ``s_back > 0``) — and extracts an ordered sequence of
 :class:`ProtoEvent`\\ s: symbolic sends, receives, and collectives, each
 carrying its resolved tag, its :class:`~repro.analysis.peers.Peer`
 expression, the :class:`~repro.analysis.peers.RankGuard` and
@@ -47,23 +49,27 @@ against the dynamic race detector.
 from __future__ import annotations
 
 import ast
+import copy
+import itertools
 from dataclasses import dataclass, field
 
-from repro.analysis.comm import COLLECTIVE_FUNCS
+from repro.analysis.comm import COLLECTIVE_FUNCS, kwarg
 from repro.analysis.contracts import check_guard_depths
 from repro.analysis.peers import (
     AXIS_HELPERS,
+    OPAQUE,
     Peer,
     RankGuard,
     atoms_compatible,
     channel_key,
     describe_channel,
     eval_atoms,
+    eval_static,
     guards_intersect,
     intersect_guards,
 )
 from repro.analysis.rules import Finding, rule
-from repro.analysis.sources import ConstEnv, SourceModule
+from repro.analysis.sources import ConstEnv, ResolvedValue, SourceModule
 
 __all__ = [
     "ProtocolProgram",
@@ -185,6 +191,19 @@ class _Frame:
         self.special: dict[str, str] = {}  # name -> "rank" | "nranks"
         self.peers: dict[str, Peer] = {}
         self.payloads: dict[str, ast.expr] = {}
+        # An inlined helper's arguments, in the outermost program's names.
+        self.params: dict[str, ast.expr] = {}
+        self.consts: dict[str, ResolvedValue | None] = {}
+
+
+class _Substitute(ast.NodeTransformer):
+    """Replace parameter names by the caller's expressions."""
+
+    def __init__(self, params: dict[str, ast.expr]) -> None:
+        self.params = params
+
+    def visit_Name(self, node: ast.Name) -> ast.expr:
+        return copy.deepcopy(self.params.get(node.id, node))
 
 
 _MAX_INLINE_DEPTH = 8
@@ -287,6 +306,11 @@ class _Extractor:
         return False
 
     def _walk_if(self, stmt: ast.If) -> bool:
+        # A test the bound literals decide (a helper's flag) takes one branch.
+        test = self._subst(stmt.test)
+        decided = eval_static(test, {})
+        if decided is not OPAQUE:
+            return self._walk_body(stmt.body if decided else stmt.orelse)
         rank_test = self._rank_test(stmt.test)
         saved_guard, saved_atoms = self.guard, self.atoms
         if rank_test is not None:
@@ -310,7 +334,7 @@ class _Extractor:
             if else_done and stmt.orelse and not body_done:
                 self.guard = intersect_guards(saved_guard, then_guard)
             return False
-        text = _normalize(stmt.test)
+        text = _normalize(test)
         self.atoms = saved_atoms + ((text, True),)
         body_done = self._walk_body(stmt.body)
         self.atoms = saved_atoms + ((text, False),)
@@ -360,7 +384,7 @@ class _Extractor:
             return None
         if lo_node is None:
             return 0
-        resolved = self.env.resolve(lo_node)
+        resolved = self._const(lo_node)
         return resolved.value if resolved is not None else None
 
     # -- expression scan ---------------------------------------------------
@@ -372,7 +396,7 @@ class _Extractor:
             return
         if isinstance(node, ast.IfExp):
             self._scan_yields(node.test, extra)
-            text = _normalize(node.test)
+            text = _normalize(self._subst(node.test))
             self._scan_yields(node.body, extra + ((text, True),))
             self._scan_yields(node.orelse, extra + ((text, False),))
             return
@@ -428,6 +452,18 @@ class _Extractor:
         if key in self._inline_stack or len(self._inline_stack) >= _MAX_INLINE_DEPTH:
             return
         funcdef = self._functions(self.module_map[target_module])[target_func]
+        args = funcdef.args
+        params = args.posonlyargs + args.args
+        positional = itertools.takewhile(lambda a: not isinstance(a, ast.Starred), call.args)
+        given = dict(zip((p.arg for p in params), positional))
+        given.update((kw.arg, kw.value) for kw in call.keywords if kw.arg is not None)
+        # Every parameter shadows the callee module's names; the caller's
+        # arguments are read in its own frame and module.
+        frame = _Frame()
+        frame.consts = {p.arg: None for p in params + args.kwonlyargs}
+        for name, arg in given.items():
+            if name in frame.consts:
+                self._bind(frame, name, arg)
         # The callee runs under the caller's guard/atoms/loops, but any
         # narrowing its early returns introduce ends with the callee.
         saved = (self.module, self.env, self.frame, self.guard, self.atoms)
@@ -436,10 +472,46 @@ class _Extractor:
         self.env = self._env_for(target_module)
         self.frame = _Frame()
         try:
+            # Defaults are read in the callee's module, unless a ``*`` or
+            # ``**`` argument may supply the parameter.
+            if len(given) == len(call.args) + len(call.keywords):
+                defaults = zip(params[len(params) - len(args.defaults) :], args.defaults)
+                for param, default in [*defaults, *zip(args.kwonlyargs, args.kw_defaults)]:
+                    if default is not None and param.arg not in given:
+                        self._bind(frame, param.arg, default)
+            self.frame = frame
             self._walk_body(funcdef.body)
         finally:
             self.module, self.env, self.frame, self.guard, self.atoms = saved
             self._inline_stack.pop()
+
+    def _bind(self, frame: _Frame, name: str, arg: ast.expr) -> None:
+        """Bind parameter ``name`` of ``frame`` to ``arg`` as read here."""
+        frame.params[name] = self._subst(arg)
+        frame.consts[name] = self._const(arg)
+        special = self._ctx_attr(arg)
+        if isinstance(arg, ast.Name):
+            special = self.frame.special.get(arg.id)
+        if special is not None:
+            frame.special[name] = special
+        peer = self._resolve_peer(arg)
+        if peer.kind != "unknown":
+            frame.peers[name] = peer
+
+    def _subst(self, node: ast.expr) -> ast.expr:
+        """``node`` with parameters replaced by the caller's expressions."""
+        params = self.frame.params
+        return _Substitute(params).visit(copy.deepcopy(node)) if params else node
+
+    def _const(self, node: ast.expr | None) -> ResolvedValue | None:
+        """The integer ``node`` resolves to, through bound parameters."""
+        if isinstance(node, ast.Name) and node.id in self.frame.consts:
+            return self.frame.consts[node.id]
+        if node is None or any(
+            isinstance(sub, ast.Name) and sub.id in self.frame.consts for sub in ast.walk(node)
+        ):
+            return None
+        return self.env.resolve(node)
 
     # -- event recording ---------------------------------------------------
 
@@ -448,20 +520,21 @@ class _Extractor:
         return self._index - 1
 
     def _record_comm(self, call: ast.Call, kind: str, extra: tuple) -> None:
-        peer_node = call.args[0] if call.args else _kwarg(call, "dst" if kind == "send" else "src")
-        tag_node = _kwarg(call, "tag")
+        peer_node = call.args[0] if call.args else kwarg(call, "dst" if kind == "send" else "src")
+        tag_node = kwarg(call, "tag")
         if kind == "send":
             tag_value: int | None = 0
             tag_text = "<default 0>"
         else:
             tag_value, tag_text = None, "<ANY_TAG>"
         if tag_node is not None:
-            resolved = self.env.resolve(tag_node)
+            resolved = self._const(tag_node)
             tag_value = resolved.value if resolved is not None else None
-            tag_text = _normalize(tag_node)
+            tag_text = _normalize(self._subst(tag_node))
         payload = None
         if kind == "send":
-            payload = call.args[1] if len(call.args) > 1 else _kwarg(call, "payload")
+            payload = call.args[1] if len(call.args) > 1 else kwarg(call, "payload")
+            payload = self._subst(payload) if payload is not None else None
         self.events.append(
             ProtoEvent(
                 index=self._next_index(),
@@ -480,17 +553,17 @@ class _Extractor:
         )
 
     def _record_collective(self, call: ast.Call, name: str) -> None:
-        tag_node = _kwarg(call, "tag")
+        tag_node = kwarg(call, "tag")
         tag_value = None
         tag_text = f"<default {name}>"
         if tag_node is not None:
-            resolved = self.env.resolve(tag_node)
+            resolved = self._const(tag_node)
             tag_value = resolved.value if resolved is not None else None
-            tag_text = _normalize(tag_node)
-        root_node = _kwarg(call, "root")
+            tag_text = _normalize(self._subst(tag_node))
+        root_node = kwarg(call, "root")
         root = 0
         if root_node is not None:
-            resolved = self.env.resolve(root_node)
+            resolved = self._const(root_node)
             root = resolved.value if resolved is not None else None
         self.events.append(
             ProtoEvent(
@@ -532,11 +605,13 @@ class _Extractor:
             self.frame.special[target.id] = special
             return
         peer = self._resolve_peer(value)
+        self.frame.payloads[target.id] = self._subst(value)
+        self.frame.params.pop(target.id, None)  # a local shadows a parameter
+        self.frame.consts.pop(target.id, None)
         if peer.kind != "unknown":
             self.frame.peers[target.id] = peer
         else:
             self.frame.peers.pop(target.id, None)
-        self.frame.payloads[target.id] = value
 
     @staticmethod
     def _ctx_attr(node: ast.expr) -> str | None:
@@ -580,7 +655,7 @@ class _Extractor:
             and isinstance(node.left.op, (ast.Add, ast.Sub))
             and self._is_rank(node.left.left)
         ):
-            step = self.env.resolve(node.left.right)
+            step = self._const(node.left.right)
             if step is not None:
                 delta = step.value if isinstance(node.left.op, ast.Add) else -step.value
                 return Peer("axis", delta, axis="ring", text=text)
@@ -590,7 +665,7 @@ class _Extractor:
             and isinstance(node.op, ast.BitXor)
             and self._is_rank(node.left)
         ):
-            mask = self.env.resolve(node.right)
+            mask = self._const(node.right)
             if mask is not None:
                 return Peer("xor", mask.value, text=text)
         # decomp.north_neighbor(rank) — the decomposition helpers.
@@ -603,7 +678,7 @@ class _Extractor:
         ):
             axis, delta = AXIS_HELPERS[node.func.attr]
             return Peer("axis", delta, axis=axis, text=text)
-        resolved = self.env.resolve(node)
+        resolved = self._const(node)
         if resolved is not None:
             return Peer("const", resolved.value, text=text)
         return Peer("unknown", text=text)
@@ -618,9 +693,9 @@ class _Extractor:
             return None
         left, right = test.left, test.comparators[0]
         if self._is_rank(left):
-            const = self.env.resolve(right)
+            const = self._const(right)
         elif self._is_rank(right):
-            const = self.env.resolve(left)
+            const = self._const(left)
         else:
             return None
         if const is None:
@@ -644,13 +719,6 @@ def _call_name(call: ast.Call) -> str | None:
         return call.func.id
     if isinstance(call.func, ast.Attribute):
         return call.func.attr
-    return None
-
-
-def _kwarg(call: ast.Call, name: str) -> ast.expr | None:
-    for keyword in call.keywords:
-        if keyword.arg == name:
-            return keyword.value
     return None
 
 

@@ -21,11 +21,12 @@ reach backwards, so the lifting kernels add a front-guard exchange in
 the opposite direction.
 
 Guard zones are built in place.  A separable level copies its row-pass
-halves into one ``(2, front + rows + back, cols // 2)`` buffer, ships
-its guards as slices of that buffer and receives its neighbors' guards
-straight into the buffer's margins; the sweep does the same with the raw
-tile.  Each input tile and buffer is released as soon as it is used, so
-a rank holds about one copy of its tile between messages.  A level whose
+halves into one ``(2, front + rows + back, cols // 2)`` buffer, and
+:func:`~repro.wavelet.parallel.decomposition.exchange_guards` ships its
+guards as slices of it and receives the neighbors' into its margins; the
+sweep does the same with the raw tile.  Each tile and buffer is released
+as soon as it is used.  Distribution and collection are
+:func:`~repro.machines.api.scatter` (of views) and ``gather``.  A level whose
 local tile is smaller than the kernel's ``min_side`` on either axis, or
 shorter than its guard depths, raises
 :class:`~repro.errors.DecompositionError` at any rank count — the rule
@@ -54,10 +55,15 @@ import numpy as np
 
 from repro.errors import DecompositionError
 from repro.machines import tags
+from repro.machines.api import gather, scatter
 from repro.machines.engine import Machine, RunResult
 from repro.wavelet.filters import FilterBank
 from repro.wavelet.kernels import SingleLoopKernel, get_kernel
-from repro.wavelet.parallel.decomposition import BlockDecomposition, StripeDecomposition
+from repro.wavelet.parallel.decomposition import (
+    BlockDecomposition,
+    StripeDecomposition,
+    exchange_guards,
+)
 from repro.wavelet.pyramid import DetailTriple, WaveletPyramid
 
 __all__ = [
@@ -144,20 +150,16 @@ def striped_wavelet_program(
     else:
         start_level = 0
         # --- initial distribution (rank 0 owns the image) ------------------
-        if distribute and nranks > 1:
-            if rank == 0:
-                for dst in range(1, nranks):
-                    r0, r1 = decomp.row_range(dst)
-                    yield ctx.send(dst, image[r0:r1], tag=_TAG_DISTRIBUTE)
-                r0, r1 = decomp.row_range(0)
-                current = np.array(image[r0:r1], dtype=np.float64)
-            else:
-                current = np.asarray(
-                    (yield ctx.recv(0, tag=_TAG_DISTRIBUTE)), dtype=np.float64
-                )
+        if distribute:
+            stripes = (
+                [image[slice(*decomp.row_range(r))] for r in range(nranks)]
+                if rank == 0
+                else None
+            )
+            current = yield from scatter(ctx, stripes, tag=_TAG_DISTRIBUTE)
         else:
-            r0, r1 = decomp.row_range(rank)
-            current = np.array(image[r0:r1], dtype=np.float64)
+            current = image[slice(*decomp.row_range(rank))]
+        current = np.asarray(current, dtype=np.float64)
         local_details = []
 
     north = decomp.north_neighbor(rank)
@@ -181,21 +183,10 @@ def striped_wavelet_program(
             ext = np.empty((front + rows + back, cols))
             ext[front : front + rows] = current
             del current
-            if nranks > 1:
-                if back > 0:
-                    yield ctx.send(north, ext[front : front + back], tag=_TAG_SWEEP_GUARD)
-                if front > 0:
-                    yield ctx.send(
-                        south, ext[rows : rows + front], tag=_TAG_SWEEP_GUARD_FRONT
-                    )
-                if back > 0:
-                    ext[front + rows :] = yield ctx.recv(south, tag=_TAG_SWEEP_GUARD)
-                if front > 0:
-                    ext[:front] = yield ctx.recv(north, tag=_TAG_SWEEP_GUARD_FRONT)
-            else:
-                ext[front + rows :] = ext[front : front + back]
-                ext[:front] = ext[rows : rows + front]
-
+            yield from exchange_guards(
+                ctx, ext, rows, front, back, north, south,
+                _TAG_SWEEP_GUARD, _TAG_SWEEP_GUARD_FRONT, multi=nranks > 1,
+            )
             ll, lh, hl, hh = impl.sweep_valid(
                 ext, bank, rows // 2, cols // 2, front, periodic_cols=True
             )
@@ -215,20 +206,10 @@ def striped_wavelet_program(
             # neighbor (periodic wrap), plus my bottom `front` rows to the
             # south when the kernel's steps reach backwards; the neighbors'
             # rows land in my margins.
-            if nranks > 1:
-                if back > 0:
-                    yield ctx.send(north, buf[:, front : front + back], tag=_TAG_COL_GUARD)
-                if front > 0:
-                    yield ctx.send(
-                        south, buf[:, rows : rows + front], tag=_TAG_COL_GUARD_FRONT
-                    )
-                if back > 0:
-                    buf[:, front + rows :] = yield ctx.recv(south, tag=_TAG_COL_GUARD)
-                if front > 0:
-                    buf[:, :front] = yield ctx.recv(north, tag=_TAG_COL_GUARD_FRONT)
-            else:
-                buf[:, front + rows :] = buf[:, front : front + back]
-                buf[:, :front] = buf[:, rows : rows + front]
+            yield from exchange_guards(
+                ctx, buf, rows, front, back, north, south,
+                _TAG_COL_GUARD, _TAG_COL_GUARD_FRONT, multi=nranks > 1,
+            )
 
             # Steps 3-4: column filtering + row decimation over stripe+guards.
             out_rows = rows // 2
@@ -244,14 +225,8 @@ def striped_wavelet_program(
             yield ctx.checkpoint((_level + 1, current, local_details))
 
     pieces = {"approx": current, "details": local_details}
-    if collect and nranks > 1:
-        if rank == 0:
-            gathered = [pieces]
-            for src in range(1, nranks):
-                gathered.append((yield ctx.recv(src, tag=_TAG_COLLECT)))
-            return gathered
-        yield ctx.send(0, pieces, tag=_TAG_COLLECT)
-        return None
+    if collect:
+        return (yield from gather(ctx, pieces, tag=_TAG_COLLECT))
     return [pieces] if rank == 0 else None
 
 
@@ -282,19 +257,17 @@ def block_wavelet_program(
     need = max(impl.min_side(bank), front, back)
     sweep = isinstance(impl, SingleLoopKernel)
 
-    (r0, r1), (c0, c1) = decomp.block_ranges(rank)
-    if distribute and nranks > 1:
-        if rank == 0:
-            for dst in range(1, nranks):
-                (dr0, dr1), (dc0, dc1) = decomp.block_ranges(dst)
-                yield ctx.send(dst, image[dr0:dr1, dc0:dc1], tag=_TAG_DISTRIBUTE)
-            current = np.array(image[r0:r1, c0:c1], dtype=np.float64)
-        else:
-            current = np.asarray(
-                (yield ctx.recv(0, tag=_TAG_DISTRIBUTE)), dtype=np.float64
-            )
+    if distribute:
+        blocks = (
+            [image[slice(*r), slice(*c)] for r, c in map(decomp.block_ranges, range(nranks))]
+            if rank == 0
+            else None
+        )
+        current = yield from scatter(ctx, blocks, tag=_TAG_DISTRIBUTE)
     else:
-        current = np.array(image[r0:r1, c0:c1], dtype=np.float64)
+        (r0, r1), (c0, c1) = decomp.block_ranges(rank)
+        current = image[r0:r1, c0:c1]
+    current = np.asarray(current, dtype=np.float64)
 
     east = decomp.east_neighbor(rank)
     west = decomp.west_neighbor(rank)
@@ -320,40 +293,18 @@ def block_wavelet_program(
             ext = full[front : front + rows]
             ext[:, front : front + cols] = current
             del current
-            if decomp.pcols > 1:
-                if back > 0:
-                    yield ctx.send(
-                        west, ext[:, front : front + back], tag=_TAG_SWEEP_COL_GUARD
-                    )
-                if front > 0:
-                    yield ctx.send(
-                        east, ext[:, cols : cols + front], tag=_TAG_SWEEP_COL_GUARD_FRONT
-                    )
-                if back > 0:
-                    ext[:, front + cols :] = yield ctx.recv(east, tag=_TAG_SWEEP_COL_GUARD)
-                if front > 0:
-                    ext[:, :front] = yield ctx.recv(west, tag=_TAG_SWEEP_COL_GUARD_FRONT)
-            else:
-                ext[:, front + cols :] = ext[:, front : front + back]
-                ext[:, :front] = ext[:, cols : cols + front]
-
+            yield from exchange_guards(
+                ctx, ext, cols, front, back, west, east,
+                _TAG_SWEEP_COL_GUARD, _TAG_SWEEP_COL_GUARD_FRONT,
+                multi=decomp.pcols > 1, axis=-1,
+            )
             # Stage 2: north/south row guards of the horizontally-extended
             # block — the neighbors' own east/west guards ride along, so
             # the corner data flows without diagonal messages.
-            if decomp.prows > 1:
-                if back > 0:
-                    yield ctx.send(north, full[front : front + back], tag=_TAG_SWEEP_GUARD)
-                if front > 0:
-                    yield ctx.send(
-                        south, full[rows : rows + front], tag=_TAG_SWEEP_GUARD_FRONT
-                    )
-                if back > 0:
-                    full[front + rows :] = yield ctx.recv(south, tag=_TAG_SWEEP_GUARD)
-                if front > 0:
-                    full[:front] = yield ctx.recv(north, tag=_TAG_SWEEP_GUARD_FRONT)
-            else:
-                full[front + rows :] = full[front : front + back]
-                full[:front] = full[rows : rows + front]
+            yield from exchange_guards(
+                ctx, full, rows, front, back, north, south,
+                _TAG_SWEEP_GUARD, _TAG_SWEEP_GUARD_FRONT, multi=decomp.prows > 1,
+            )
             ll, lh, hl, hh = impl.sweep_valid(full, bank, out_rows, out_cols, front, front)
             del ext, full
             yield ctx.charge(impl.level_cost(rows, cols, bank))
@@ -364,20 +315,10 @@ def block_wavelet_program(
             ext = np.empty((rows, front + cols + back))
             ext[:, front : front + cols] = current
             del current
-            if decomp.pcols > 1:
-                if back > 0:
-                    yield ctx.send(west, ext[:, front : front + back], tag=_TAG_ROW_GUARD)
-                if front > 0:
-                    yield ctx.send(
-                        east, ext[:, cols : cols + front], tag=_TAG_ROW_GUARD_FRONT
-                    )
-                if back > 0:
-                    ext[:, front + cols :] = yield ctx.recv(east, tag=_TAG_ROW_GUARD)
-                if front > 0:
-                    ext[:, :front] = yield ctx.recv(west, tag=_TAG_ROW_GUARD_FRONT)
-            else:
-                ext[:, front + cols :] = ext[:, front : front + back]
-                ext[:, :front] = ext[:, cols : cols + front]
+            yield from exchange_guards(
+                ctx, ext, cols, front, back, west, east,
+                _TAG_ROW_GUARD, _TAG_ROW_GUARD_FRONT, multi=decomp.pcols > 1, axis=-1,
+            )
             buf = np.empty((2, front + rows + back, out_cols))
             buf[0, front : front + rows], buf[1, front : front + rows] = impl.analyze_valid(
                 ext, bank, 1, out_cols, front
@@ -387,20 +328,10 @@ def block_wavelet_program(
 
             # Column filtering: south back guard plus north front guard, in
             # the margins of the halves' buffer.
-            if decomp.prows > 1:
-                if back > 0:
-                    yield ctx.send(north, buf[:, front : front + back], tag=_TAG_COL_GUARD)
-                if front > 0:
-                    yield ctx.send(
-                        south, buf[:, rows : rows + front], tag=_TAG_COL_GUARD_FRONT
-                    )
-                if back > 0:
-                    buf[:, front + rows :] = yield ctx.recv(south, tag=_TAG_COL_GUARD)
-                if front > 0:
-                    buf[:, :front] = yield ctx.recv(north, tag=_TAG_COL_GUARD_FRONT)
-            else:
-                buf[:, front + rows :] = buf[:, front : front + back]
-                buf[:, :front] = buf[:, rows : rows + front]
+            yield from exchange_guards(
+                ctx, buf, rows, front, back, north, south,
+                _TAG_COL_GUARD, _TAG_COL_GUARD_FRONT, multi=decomp.prows > 1,
+            )
             ll, lh = impl.analyze_valid(buf[0], bank, 0, out_rows, front)
             hl, hh = impl.analyze_valid(buf[1], bank, 0, out_rows, front)
             del buf
@@ -410,14 +341,8 @@ def block_wavelet_program(
         current = ll
 
     pieces = {"approx": current, "details": local_details}
-    if collect and nranks > 1:
-        if rank == 0:
-            gathered = [pieces]
-            for src in range(1, nranks):
-                gathered.append((yield ctx.recv(src, tag=_TAG_COLLECT)))
-            return gathered
-        yield ctx.send(0, pieces, tag=_TAG_COLLECT)
-        return None
+    if collect:
+        return (yield from gather(ctx, pieces, tag=_TAG_COLLECT))
     return [pieces] if rank == 0 else None
 
 

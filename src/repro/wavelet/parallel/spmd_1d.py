@@ -3,9 +3,10 @@
 The paper's introduction motivates wavelets for signal analysis (speech)
 as well as imagery; this module parallelizes the 1-D Mallat transform
 with the same discipline as the 2-D striped code: contiguous segments
-per rank, a guard of ``filter_length`` samples fetched from the right
-(next) neighbor before each level's filtering, periodic wrap through the
-ring.  Output matches :func:`repro.wavelet.dwt_1d` exactly.
+per rank, kernel-sized guards from the ring neighbors built in place in
+one buffer per level, scatter/gather for distribution and collection.
+Outputs are bitwise :func:`repro.wavelet.dwt_1d`/:func:`~repro.wavelet.idwt_1d`
+of the same kernel, and whatever those refuse raises here too.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import numpy as np
 
 from repro.errors import DecompositionError
 from repro.machines import tags
+from repro.machines.api import gather, scatter
 from repro.machines.engine import Engine, Machine, RunResult
 from repro.wavelet.filters import FilterBank
 from repro.wavelet.kernels import get_kernel
+from repro.wavelet.parallel.decomposition import exchange_guards
 
 __all__ = [
     "Spmd1dOutcome",
@@ -74,9 +77,9 @@ def dwt_1d_program(
     factored passes).
     """
     rank, nranks = ctx.rank, ctx.nranks
-    m = bank.length
     impl = get_kernel(kernel)
     front, back = impl.analysis_guard_depths(bank)
+    min_side = impl.min_side(bank)
     n = signal.shape[0]
     if n % (nranks * 2**levels) != 0:
         raise DecompositionError(
@@ -84,69 +87,47 @@ def dwt_1d_program(
             f"{nranks * 2 ** levels}"
         )
 
-    if distribute and nranks > 1:
-        if rank == 0:
-            for dst in range(1, nranks):
-                s0, s1 = _segment(n, nranks, dst)
-                yield ctx.send(dst, signal[s0:s1], tag=_TAG_DISTRIBUTE)
-            s0, s1 = _segment(n, nranks, 0)
-            current = np.array(signal[s0:s1], dtype=np.float64)
-        else:
-            current = np.asarray(
-                (yield ctx.recv(0, tag=_TAG_DISTRIBUTE)), dtype=np.float64
-            )
+    if distribute:
+        segments = (
+            [signal[slice(*_segment(n, nranks, r))] for r in range(nranks)]
+            if rank == 0
+            else None
+        )
+        current = yield from scatter(ctx, segments, tag=_TAG_DISTRIBUTE)
     else:
-        s0, s1 = _segment(n, nranks, rank)
-        current = np.array(signal[s0:s1], dtype=np.float64)
+        current = signal[slice(*_segment(n, nranks, rank))]
+    current = np.asarray(current, dtype=np.float64)
 
     right = (rank + 1) % nranks
     left = (rank - 1) % nranks
     local_details = []
     for _level in range(levels):
         length = current.shape[0]
-        if (length < m or length < max(front, back)) and nranks > 1:
+        if length < min_side or length < max(front, back):
             raise DecompositionError(
                 f"local segment of {length} samples is shorter than the "
-                f"filter/guard requirement; reduce ranks or levels"
+                f"{impl.name!r} kernel needs ({min_side} samples, "
+                f"{max(front, back)} guard samples); reduce ranks or levels"
             )
         # Guard: my left neighbor needs my first `back` samples (periodic
         # ring), my right neighbor my last `front` ones.
-        if nranks > 1:
-            if back > 0:
-                yield ctx.send(left, current[:back].copy(), tag=_TAG_GUARD)
-            if front > 0:
-                yield ctx.send(
-                    right, current[length - front :].copy(), tag=_TAG_GUARD_FRONT
-                )
-            back_guard = (
-                (yield ctx.recv(right, tag=_TAG_GUARD))
-                if back > 0
-                else current[:0]
-            )
-            front_guard = (
-                (yield ctx.recv(left, tag=_TAG_GUARD_FRONT))
-                if front > 0
-                else current[:0]
-            )
-        else:
-            back_guard = current[:back]
-            front_guard = current[length - front :]
-        extended = np.concatenate([front_guard, current, back_guard])
+        buf = np.empty(front + length + back)
+        buf[front : front + length] = current
+        del current
+        yield from exchange_guards(
+            ctx, buf, length, front, back, left, right,
+            _TAG_GUARD, _TAG_GUARD_FRONT, multi=nranks > 1, axis=-1,
+        )
         out_len = length // 2
-        approx, detail = impl.analyze_valid(extended, bank, 0, out_len, front)
+        approx, detail = impl.analyze_valid(buf, bank, 0, out_len, front)
+        del buf
         yield ctx.charge(impl.analysis_pass_cost(2 * out_len, bank))
         local_details.append(detail)
         current = approx
 
     pieces = {"approx": current, "details": local_details}
-    if collect and nranks > 1:
-        if rank == 0:
-            gathered = [pieces]
-            for src in range(1, nranks):
-                gathered.append((yield ctx.recv(src, tag=_TAG_COLLECT)))
-            return gathered
-        yield ctx.send(0, pieces, tag=_TAG_COLLECT)
-        return None
+    if collect:
+        return (yield from gather(ctx, pieces, tag=_TAG_COLLECT))
     return [pieces] if rank == 0 else None
 
 
@@ -167,62 +148,42 @@ def idwt_1d_program(
     right-neighbor (back) guard when the inverse steps reach forwards.
     """
     rank, nranks = ctx.rank, ctx.nranks
-    m = bank.length
-    guard_depth = max(1, m // 2)
     impl = get_kernel(kernel)
     s_front, s_back = impl.synthesis_guard_depths(bank)
+    min_side = impl.min_side(bank)
     levels = len(details)
     right = (rank + 1) % nranks
     left = (rank - 1) % nranks
 
     a0, a1 = _segment(approximation.shape[0], nranks, rank)
-    current = np.array(approximation[a0:a1], dtype=np.float64)
+    current = np.asarray(approximation[a0:a1], dtype=np.float64)
 
     for level in range(levels - 1, -1, -1):
         d0, d1 = _segment(details[level].shape[0], nranks, rank)
-        detail = np.array(details[level][d0:d1], dtype=np.float64)
         length = current.shape[0]
-        if (
-            length < guard_depth or length < max(s_front, s_back)
-        ) and nranks > 1:
+        if 2 * length < min_side or length < max(s_front, s_back):
             raise DecompositionError(
-                f"local segment of {length} samples is shorter than the "
-                f"synthesis guard requirement; reduce ranks or levels"
+                f"local segment of {length} samples synthesizes fewer than the "
+                f"{min_side} samples the {impl.name!r} kernel needs, or is shorter "
+                f"than its {max(s_front, s_back)} guard samples; reduce ranks or levels"
             )
-        if nranks > 1:
-            if s_front > 0:
-                tail = np.stack([current[length - s_front :], detail[length - s_front :]])
-                yield ctx.send(right, tail, tag=_TAG_GUARD)
-            if s_back > 0:
-                head = np.stack([current[:s_back], detail[:s_back]])
-                yield ctx.send(left, head, tag=_TAG_GUARD_BACK)
-            if s_front > 0:
-                guard = yield ctx.recv(left, tag=_TAG_GUARD)
-                front_a, front_d = guard[0], guard[1]
-            else:
-                front_a = front_d = current[:0]
-            if s_back > 0:
-                guard = yield ctx.recv(right, tag=_TAG_GUARD_BACK)
-                back_a, back_d = guard[0], guard[1]
-            else:
-                back_a = back_d = current[:0]
-        else:
-            front_a, front_d = current[length - s_front :], detail[length - s_front :]
-            back_a, back_d = current[:s_back], detail[:s_back]
-        ext_approx = np.concatenate([front_a, current, back_a])
-        ext_detail = np.concatenate([front_d, detail, back_d])
+        # The approximation and detail segments share one buffer: the
+        # guards to the neighbors are slices of both rows at once.
+        buf = np.empty((2, s_front + length + s_back))
+        buf[0, s_front : s_front + length] = current
+        buf[1, s_front : s_front + length] = details[level][d0:d1]
+        yield from exchange_guards(
+            ctx, buf, length, s_front, s_back, left, right,
+            _TAG_GUARD_BACK, _TAG_GUARD, multi=nranks > 1, axis=-1, front_first=True,
+        )
         out_len = 2 * length
-        current = impl.synthesize_valid(ext_approx, ext_detail, bank, 0, out_len, s_front)
+        current = impl.synthesize_valid(buf[0], buf[1], bank, 0, out_len, s_front)
+        del buf
         yield ctx.charge(impl.synthesis_pass_cost(out_len, bank))
 
-    if collect and nranks > 1:
-        if rank == 0:
-            segments = [current]
-            for src in range(1, nranks):
-                segments.append((yield ctx.recv(src, tag=_TAG_COLLECT)))
-            return np.concatenate(segments)
-        yield ctx.send(0, current, tag=_TAG_COLLECT)
-        return None
+    if collect:
+        segments = yield from gather(ctx, current, tag=_TAG_COLLECT)
+        return None if segments is None else np.concatenate(segments)
     return current if rank == 0 else None
 
 
@@ -235,8 +196,9 @@ def run_spmd_idwt_1d(
     kernel: str = "conv",
 ):
     """Reconstruct a 1-D multi-level decomposition on a simulated machine;
-    matches :func:`repro.wavelet.idwt_1d` exactly (``kernel="conv"``) or
-    within float tolerance (lifting kernels).  Returns ``(run, signal)``."""
+    the signal is bitwise :func:`repro.wavelet.idwt_1d` of the same
+    kernel, and whatever that refuses raises here too.  Returns ``(run,
+    signal)``."""
     run = Engine(machine).run(
         idwt_1d_program,
         np.asarray(approximation, dtype=np.float64),
@@ -256,9 +218,9 @@ def run_spmd_dwt_1d(
     distribute: bool = True,
     kernel: str = "conv",
 ) -> Spmd1dOutcome:
-    """Run the 1-D decomposition on a simulated machine; outputs match
-    the sequential :func:`repro.wavelet.dwt_1d` exactly (``kernel="conv"``)
-    or within float tolerance (lifting kernels)."""
+    """Run the 1-D decomposition on a simulated machine; the outputs are
+    bitwise the sequential :func:`repro.wavelet.dwt_1d` of the same
+    kernel, and whatever that refuses raises here too."""
     signal = np.asarray(signal, dtype=np.float64)
     run = Engine(machine).run(
         dwt_1d_program,

@@ -4,10 +4,14 @@ decomposition).
 
 Each rank owns row stripes of every pyramid level.  Reconstruction runs
 coarsest-to-finest; at each level the column synthesis (upsample + filter
-along rows of the stripe) needs ``filter_length // 2`` guard rows from
-the *north* neighbor — the mirror of the decomposition's south guard —
-followed by fully local row synthesis.  Outputs are bit-identical to
-:func:`repro.wavelet.mallat_reconstruct_2d`.
+along rows of the stripe) needs guard rows from the *north* neighbor —
+the mirror of the decomposition's south guard — and from the south one
+too when a kernel's inverse steps reach forwards, followed by fully local
+row synthesis.  The four subbands' stripes share one buffer per level
+whose margins take the guards in place; distribution and collection are
+scatter/gather.  Outputs are bitwise
+:func:`repro.wavelet.mallat_reconstruct_2d` (of ``"lifting"`` for
+``"single-loop"``, whose passes it runs here).
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ import numpy as np
 
 from repro.errors import DecompositionError
 from repro.machines import tags
+from repro.machines.api import gather, scatter
 from repro.machines.engine import Engine, Machine, RunResult
 from repro.wavelet.filters import FilterBank
 from repro.wavelet.kernels import get_kernel
-from repro.wavelet.parallel.decomposition import StripeDecomposition
+from repro.wavelet.parallel.decomposition import StripeDecomposition, exchange_guards
 from repro.wavelet.pyramid import WaveletPyramid
 
 __all__ = ["SpmdReconstructOutcome", "striped_reconstruct_program", "run_spmd_reconstruct"]
@@ -43,17 +48,15 @@ class SpmdReconstructOutcome:
 
 
 def _stripe_pieces(pyramid: WaveletPyramid, decomp: StripeDecomposition, rank: int):
-    """Slice one rank's stripes out of a full pyramid (deepest level's
+    """Views of one rank's stripes of a full pyramid (deepest level's
     stripes use the deepest row split, and so on upward)."""
     levels = pyramid.levels
     a0, a1 = decomp.row_range(rank, level=levels)
-    pieces = {"approx": pyramid.approximation[a0:a1].copy(), "details": []}
+    pieces = {"approx": pyramid.approximation[a0:a1], "details": []}
     for level in range(levels):
         d0, d1 = decomp.row_range(rank, level=level + 1)
         triple = pyramid.details[level]
-        pieces["details"].append(
-            (triple.lh[d0:d1].copy(), triple.hl[d0:d1].copy(), triple.hh[d0:d1].copy())
-        )
+        pieces["details"].append((triple.lh[d0:d1], triple.hl[d0:d1], triple.hh[d0:d1]))
     return pieces
 
 
@@ -76,82 +79,59 @@ def striped_reconstruct_program(
     separable lifting passes here.
     """
     rank, nranks = ctx.rank, ctx.nranks
-    m = bank.length
-    guard_depth = max(1, m // 2)
     impl = get_kernel(kernel)
     s_front, s_back = impl.synthesis_guard_depths(bank)
+    min_side = impl.min_side(bank)
     levels = pyramid.levels
 
-    if distribute and nranks > 1:
-        if rank == 0:
-            for dst in range(1, nranks):
-                yield ctx.send(dst, _stripe_pieces(pyramid, decomp, dst), tag=_TAG_DISTRIBUTE)
-            pieces = _stripe_pieces(pyramid, decomp, 0)
-        else:
-            pieces = yield ctx.recv(0, tag=_TAG_DISTRIBUTE)
+    if distribute:
+        stripes = (
+            [_stripe_pieces(pyramid, decomp, r) for r in range(nranks)] if rank == 0 else None
+        )
+        pieces = yield from scatter(ctx, stripes, tag=_TAG_DISTRIBUTE)
     else:
         pieces = _stripe_pieces(pyramid, decomp, rank)
 
     north = decomp.north_neighbor(rank)
     south = decomp.south_neighbor(rank)
-    current = np.asarray(pieces["approx"], dtype=np.float64)
+    current = pieces["approx"]
 
     for level in range(levels - 1, -1, -1):
-        lh, hl, hh = (np.asarray(b, dtype=np.float64) for b in pieces["details"][level])
         rows, cols = current.shape
-        if (
-            rows < guard_depth or rows < max(s_front, s_back)
-        ) and nranks > 1:
+        if 2 * min(rows, cols) < min_side or rows < max(s_front, s_back):
             raise DecompositionError(
-                f"local stripe of {rows} rows is shorter than the "
-                f"synthesis guard requirement; reduce ranks or levels"
+                f"local stripe {rows}x{cols} synthesizes fewer than the {min_side} "
+                f"rows and columns the {impl.name!r} kernel needs, or is shorter than "
+                f"its {max(s_front, s_back)} guard rows; reduce ranks or levels"
             )
         yield ctx.compute(intops=64, redundant=True)
 
         out_rows = 2 * rows
         # Column synthesis needs the north neighbor's *bottom* guard rows
-        # of every subband at this level (periodic wrap via the ring).
-        bands = (current, lh, hl, hh)
-        if nranks > 1:
-            if s_front > 0:
-                bottom = np.stack([b[rows - s_front :] for b in bands])
-                yield ctx.send(south, bottom, tag=_TAG_GUARD)
-            if s_back > 0:
-                top = np.stack([b[:s_back] for b in bands])
-                yield ctx.send(north, top, tag=_TAG_GUARD_BACK)
-            if s_front > 0:
-                front_guard = yield ctx.recv(north, tag=_TAG_GUARD)
-            else:
-                front_guard = [b[:0] for b in bands]
-            if s_back > 0:
-                back_guard = yield ctx.recv(south, tag=_TAG_GUARD_BACK)
-            else:
-                back_guard = [b[:0] for b in bands]
-        else:
-            front_guard = [b[rows - s_front :] for b in bands]
-            back_guard = [b[:s_back] for b in bands]
-        ext = [
-            np.vstack([front_guard[i], bands[i], back_guard[i]])
-            for i in range(4)
-        ]
+        # of every subband at this level (periodic wrap via the ring): the
+        # four subbands share one buffer, so one guard carries all four.
+        buf = np.empty((4, s_front + rows + s_back, cols))
+        for band, data in zip(buf, (current, *pieces["details"][level])):
+            band[s_front : s_front + rows] = data
+        del current
+        yield from exchange_guards(
+            ctx, buf, rows, s_front, s_back, north, south,
+            _TAG_GUARD_BACK, _TAG_GUARD, multi=nranks > 1, front_first=True,
+        )
 
         # Column inverse: (LL, LH) -> low rows, (HL, HH) -> high rows.
-        low = impl.synthesize_valid(ext[0], ext[1], bank, 0, out_rows, s_front)
-        high = impl.synthesize_valid(ext[2], ext[3], bank, 0, out_rows, s_front)
+        low = impl.synthesize_valid(buf[0], buf[1], bank, 0, out_rows, s_front)
+        high = impl.synthesize_valid(buf[2], buf[3], bank, 0, out_rows, s_front)
+        del buf
         yield ctx.charge(impl.synthesis_pass_cost(2 * out_rows * cols, bank))
 
         # Row inverse is fully local (rows are whole within a stripe).
         current = impl.synthesize(low, high, bank, 1)
         yield ctx.charge(impl.synthesis_pass_cost(out_rows * 2 * cols, bank))
 
-    if collect and nranks > 1:
-        if rank == 0:
-            stripes = [current]
-            for src in range(1, nranks):
-                stripes.append((yield ctx.recv(src, tag=_TAG_COLLECT)))
-            return np.vstack(stripes)
-        yield ctx.send(0, current, tag=_TAG_COLLECT)
-        return None
+    if collect:
+        stripes = yield from gather(ctx, current, tag=_TAG_COLLECT)
+        return None if stripes is None else np.vstack(stripes)
     return current if rank == 0 else None
 
 
@@ -164,9 +144,11 @@ def run_spmd_reconstruct(
     collect: bool = True,
     kernel: str = "conv",
 ) -> SpmdReconstructOutcome:
-    """Reconstruct a pyramid on a simulated machine; the result matches
-    the sequential inverse transform exactly (``kernel="conv"``) or within
-    float tolerance (lifting kernels)."""
+    """Reconstruct a pyramid on a simulated machine; the image is bitwise
+    :func:`~repro.wavelet.mallat_reconstruct_2d` of the same kernel
+    (``"conv"``, ``"lifting"``, ``"fused"``) or of ``"lifting"`` (for
+    ``"single-loop"``, whose inverse runs the lifting passes), and
+    whatever that refuses raises here too."""
     rows, cols = pyramid.original_shape
     decomp = StripeDecomposition(rows, cols, machine.nranks, pyramid.levels)
     run = Engine(machine).run(

@@ -60,14 +60,34 @@ class TestRealProgramsCertify:
         }
         # Each point-to-point program has matched channels; the deadlock
         # proof is non-vacuous (there are blocking ops to order).  Every
-        # kernel's separable level shares one guard exchange, so the
-        # wavelet counts are: striped = distribute + back/front column
-        # guards + two sweep guards + collect; block adds the row guards
-        # and two sweep column guards.
+        # guard exchange is one inlined helper, so the wavelet counts are:
+        # striped = back/front column guards + two sweep guards; block
+        # adds the row guards and two sweep column guards.
         matched = {p.func: len(p.matches) for p in protocols}
-        assert matched["striped_wavelet_program"] == 6
-        assert matched["block_wavelet_program"] == 10
-        assert matched["manager_worker_program"] >= 2
+        assert matched["striped_wavelet_program"] == 4
+        assert matched["block_wavelet_program"] == 8
+        assert matched["manager_worker_program"] == 3
+        assert matched["replicated_program"] == matched["pic_program"] == 0
+        # Distribution and collection are the library's scatter and
+        # gather, on each program's own tags.
+        collectives = {
+            p.func: [(ev.collective, ev.tag) for ev in p.events if ev.kind == "collective"]
+            for p in protocols
+        }
+        for func in ("striped_wavelet_program", "block_wavelet_program"):
+            assert collectives[func] == [
+                ("scatter", tags.WAVELET_DISTRIBUTE),
+                ("gather", tags.WAVELET_COLLECT),
+            ]
+        assert collectives["dwt_1d_program"] == [
+            ("scatter", tags.DWT1D_DISTRIBUTE),
+            ("gather", tags.DWT1D_COLLECT),
+        ]
+        assert collectives["idwt_1d_program"] == [("gather", tags.DWT1D_COLLECT)]
+        assert collectives["striped_reconstruct_program"] == [
+            ("scatter", tags.RECONSTRUCT_DISTRIBUTE),
+            ("gather", tags.RECONSTRUCT_COLLECT),
+        ]
 
     def test_lint_protocol_repo_clean(self, repo_protocol_lint):
         report = repo_protocol_lint
@@ -526,3 +546,129 @@ class TestExtractionEdges:
         assert findings == []
         channels = concrete_channels(protocols[0], 4, {})
         assert channels == {(0, 1, 7300), (1, 0, 7300), (2, 3, 7300), (3, 2, 7300)}
+
+
+#: A guard-exchange helper in its own module: every peer, tag, depth and
+#: the send order arrive as arguments, as in
+#: :func:`repro.wavelet.parallel.decomposition.exchange_guards`.
+_HALO = textwrap.dedent(
+    """\
+    def swap_margins(ctx, buf, owned, front, back, prev, nxt, back_tag, front_tag, *, multi, front_first=False):
+        if not multi:
+            return
+        if front_first:
+            if front > 0:
+                yield ctx.send(nxt, buf[..., owned : owned + front, :], tag=front_tag)
+        if back > 0:
+            yield ctx.send(prev, buf[..., front : front + BACK_ROWS, :], tag=back_tag)
+        if not front_first:
+            if front > 0:
+                yield ctx.send(nxt, buf[..., owned : owned + front, :], tag=front_tag)
+        if front > 0:
+            buf[..., :front, :] = yield ctx.recv(prev, tag=front_tag)
+        if back > 0:
+            buf[..., front + owned :, :] = yield ctx.recv(nxt, tag=back_tag)
+    """
+)
+
+#: A synthesis-phase caller in another module: its own tag names, the
+#: kernel's synthesis depths and the decomposition's neighbors.
+_INVERSE = textwrap.dedent(
+    """\
+    from fix.halo import swap_margins
+    from repro.machines import tags
+    from repro.wavelet.kernels import get_kernel
+
+    _TAG_GUARD = tags.RECONSTRUCT_GUARD
+    _TAG_GUARD_BACK = tags.RECONSTRUCT_GUARD_BACK
+
+    def inverse_program(ctx, buf, rows, bank, kernel, decomp, guard_tag):
+        rank, nranks = ctx.rank, ctx.nranks
+        s_front, s_back = get_kernel(kernel).synthesis_guard_depths(bank)
+        north = decomp.north_neighbor(rank)
+        south = decomp.south_neighbor(rank)
+        yield from swap_margins(
+            ctx, buf, rows, s_front, s_back, north, south, BACK_TAG, _TAG_GUARD,
+            multi=nranks > 1, front_first=True,
+        )
+        return buf
+    """
+)
+
+#: An analysis-phase caller of the same helper (back guard first).
+_FORWARD = textwrap.dedent(
+    """\
+    from fix.halo import swap_margins
+    from repro.machines.tags import DWT1D_GUARD, DWT1D_GUARD_FRONT
+    from repro.wavelet.kernels import get_kernel
+
+    def forward_program(ctx, buf, length, bank, kernel):
+        rank, nranks = ctx.rank, ctx.nranks
+        front, back = get_kernel(kernel).analysis_guard_depths(bank)
+        left = (rank - 1) % nranks
+        right = (rank + 1) % nranks
+        yield from swap_margins(
+            ctx, buf, length, front, back, left, right, DWT1D_GUARD, DWT1D_GUARD_FRONT,
+            multi=nranks > 1,
+        )
+        return buf
+    """
+)
+
+
+class TestBoundHelperArguments:
+    """The verifier inlines a helper with each parameter bound to the
+    caller's argument: peers and tags resolve in the caller's frame and
+    module, and conditions and payload slices read in the caller's names."""
+
+    INVERSE = ProtocolProgram("fix.inverse", "inverse_program", "synthesis")
+    FORWARD = ProtocolProgram("fix.forward", "forward_program", "analysis")
+
+    @staticmethod
+    def _sources(back_rows="back", back_tag="_TAG_GUARD_BACK"):
+        return {
+            "fix.halo": _HALO.replace("BACK_ROWS", back_rows),
+            "fix.inverse": _INVERSE.replace("BACK_TAG", back_tag),
+            "fix.forward": _FORWARD,
+        }
+
+    def test_helper_in_another_module_certifies(self):
+        """Both callers certify: the synthesis call's tags and neighbors
+        resolve through its own module, its ``s_front``/``s_back`` decide
+        the guard depths, and its ``front_first=True`` keeps only the
+        front-first send order."""
+        sources = self._sources()
+        assert _proto_findings(sources, (self.INVERSE, self.FORWARD)) == []
+        _, protocols = check_protocol(
+            modules_from_sources(sources), programs=(self.INVERSE,)
+        )
+        events = protocols[0].events
+        assert [(ev.kind, ev.tag) for ev in events] == [
+            ("send", tags.RECONSTRUCT_GUARD),
+            ("send", tags.RECONSTRUCT_GUARD_BACK),
+            ("recv", tags.RECONSTRUCT_GUARD),
+            ("recv", tags.RECONSTRUCT_GUARD_BACK),
+        ]
+        assert ("s_back > 0", True) in events[1].atoms
+        assert [(ev.peer.axis, ev.peer.value) for ev in events] == [
+            ("row", 1), ("row", -1), ("row", -1), ("row", 1)
+        ]
+
+    def test_short_guard_in_helper_flagged_per_caller(self):
+        """The helper ships ``back - 1`` rows: one depth finding at the
+        helper's line for each program that calls it."""
+        found = _proto_findings(
+            self._sources(back_rows="back - 1"), (self.INVERSE, self.FORWARD)
+        )
+        assert found == [("PROTO-GUARD-DEPTH-MISMATCH", 8)] * 2
+
+    def test_unresolvable_argument_is_reported(self):
+        """A caller's tag the verifier cannot resolve (the program's own
+        parameter) stays opaque inside the helper and is reported there."""
+        found = _proto_findings(
+            self._sources(back_tag="guard_tag"), (self.INVERSE,)
+        )
+        assert found == [
+            ("PROTO-UNMATCHED-SEND", 8),
+            ("PROTO-UNMATCHED-RECV", 15),
+        ]

@@ -304,4 +304,6 @@ class TestLintCli:
         assert main(["lint", "--comm-summary"]) == 0
         out = capsys.readouterr().out
         assert "repro.wavelet.parallel.spmd:" in out
-        assert "_TAG_ROW_GUARD=2" in out
+        # The guard sends live in one helper whose tags are parameters, so
+        # the tag resolved at a wavelet call site is the scatter's.
+        assert "_TAG_DISTRIBUTE=1" in out

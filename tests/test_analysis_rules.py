@@ -553,6 +553,58 @@ class TestChargingRule:
         )
         assert hits(report, "CHG-UNCHARGED-KERNEL") == []
 
+    def test_communicating_helper_flushes_pending(self):
+        # A guard exchange moved into a helper: the helper only sends and
+        # receives, so the uncharged row pass before it is still caught,
+        # at the kernel's line, as if the send were written inline.
+        report = lint(
+            {
+                "fix.halo": """\
+                    TAG = 7940
+
+                    def swap(ctx, block, peer):
+                        yield ctx.send(peer, block[:1], tag=TAG)
+                        return (yield ctx.recv(peer, tag=TAG))
+                    """,
+                "fix.charge": """\
+                    from fix.halo import swap
+                    from repro.wavelet.kernels import get_kernel
+
+                    def prog(ctx, block, bank):
+                        impl = get_kernel("lifting")
+                        lo, hi = impl.analyze(block, bank, 1)
+                        guard = yield from swap(ctx, lo, 1)
+                        yield ctx.charge(1.0)
+                        return guard
+                    """,
+            }
+        )
+        found = hits(report, "CHG-UNCHARGED-KERNEL")
+        assert [(f.module, f.line) for f in found] == [("fix.charge", 6)]
+        assert "helper swap" in found[0].message
+
+    def test_charging_helper_stays_neutral(self):
+        report = lint(
+            {
+                "fix.charge": """\
+                    from repro.wavelet.kernels import analyze_axis
+
+                    TAG = 7950
+
+                    def _step(ctx, block):
+                        yield ctx.charge(1.0)
+                        yield ctx.send(1, block, tag=TAG)
+                        return (yield ctx.recv(1, tag=TAG))
+
+                    def prog(ctx, block):
+                        block = analyze_axis(block, 0)
+                        block = yield from _step(ctx, block)
+                        return block
+                    """,
+            }
+        )
+        assert hits(report, "CHG-UNCHARGED-KERNEL") == []
+
 
 class TestSuppressionsAndBaseline:
     def test_inline_suppression_waives_finding(self):

@@ -14,14 +14,22 @@ from repro.machines.simd import MasParMachine, maspar_mp2
 from repro.runtime import JobSpec, RunOptions, build_launch, launch, run_program
 from repro.wavelet import (
     KERNEL_NAMES,
+    DetailTriple,
+    WaveletPyramid,
     daubechies_filter,
+    dwt_1d,
     filter_bank_for_length,
+    idwt_1d,
     mallat_decompose_2d,
+    mallat_reconstruct_2d,
 )
 from repro.wavelet.parallel import (
     BlockDecomposition,
     StripeDecomposition,
     factor_grid,
+    run_spmd_dwt_1d,
+    run_spmd_idwt_1d,
+    run_spmd_reconstruct,
     run_spmd_wavelet,
     simd_mallat_decompose,
 )
@@ -233,6 +241,108 @@ class TestSpmdEqualsSequential:
                         (b.shape, b.tobytes()) for b in sequential
                     ], case
         assert ran >= 150  # the equality check is not vacuous
+
+
+def _outcome(transform, *args, **kwargs):
+    """``transform(*args, **kwargs)``, or the ``ConfigurationError`` it
+    raised."""
+    try:
+        return transform(*args, **kwargs)
+    except ConfigurationError as exc:
+        return exc
+
+
+class TestOneDAndInverseEqualSequential:
+    """The same property for the 1-D forward and inverse programs and the
+    striped reconstruction, over kernel x P in {1, 2, 4, 8} x D2-D20 x
+    1-3 levels x the samples (or rows) each rank owns at the coarsest
+    level: wherever the SPMD program runs it is bitwise the sequential
+    transform, and wherever that refuses, so does the program.  The
+    single-loop reconstruction runs the separable lifting passes, so its
+    reference is the lifting kernel's."""
+
+    LOCAL = (1, 2, 3, 6)
+    #: Coarsest-level (rows per rank, columns) of the reconstructed pyramids.
+    TILES = ((1, 4), (2, 2), (3, 6), (6, 1))
+
+    @staticmethod
+    def _agree(sequential, parallel, arrays, case) -> bool:
+        """Assert the property for one case, with ``arrays`` listing each
+        side's result; True when both ran."""
+        if isinstance(sequential, ConfigurationError):
+            assert isinstance(parallel, ConfigurationError), case
+            return False
+        if isinstance(parallel, ConfigurationError):
+            return False
+        assert [(a.shape, a.tobytes()) for a in arrays(parallel)] == [
+            (b.shape, b.tobytes()) for b in arrays(sequential)
+        ], case
+        return True
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_dwt_1d(self, kernel):
+        rng = np.random.default_rng(3)
+        ran = 0
+        for nranks, length, levels, local in itertools.product(
+            (1, 2, 4, 8), range(2, 22, 2), (1, 2, 3), self.LOCAL
+        ):
+            bank = filter_bank_for_length(length)
+            signal = rng.random(nranks * local << levels)
+            ran += self._agree(
+                _outcome(dwt_1d, signal, bank, levels, kernel=kernel),
+                _outcome(run_spmd_dwt_1d, paragon(nranks), signal, bank, levels, kernel=kernel),
+                lambda out: (
+                    [out[0], *out[1]]
+                    if isinstance(out, tuple)
+                    else [out.approximation, *out.details]
+                ),
+                (nranks, bank.name, levels, local),
+            )
+        assert ran >= 60  # the equality check is not vacuous
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_idwt_1d(self, kernel):
+        rng = np.random.default_rng(4)
+        ran = 0
+        for nranks, length, levels, local in itertools.product(
+            (1, 2, 4, 8), range(2, 22, 2), (1, 2, 3), self.LOCAL
+        ):
+            bank = filter_bank_for_length(length)
+            approx = rng.random(nranks * local)
+            details = [rng.random(nranks * local << (levels - 1 - i)) for i in range(levels)]
+            ran += self._agree(
+                _outcome(idwt_1d, approx, details, bank, kernel=kernel),
+                _outcome(run_spmd_idwt_1d, paragon(nranks), approx, details, bank, kernel=kernel),
+                lambda out: [out[1] if isinstance(out, tuple) else out],
+                (nranks, bank.name, levels, local),
+            )
+        assert ran >= 60
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_reconstruct(self, kernel):
+        reference = "lifting" if kernel == "single-loop" else kernel
+        rng = np.random.default_rng(5)
+        ran = 0
+        for nranks, length, levels, (local, cols) in itertools.product(
+            (1, 2, 4, 8), range(2, 22, 2), (1, 2, 3), self.TILES
+        ):
+            bank = filter_bank_for_length(length)
+            shapes = [(nranks * local << k, cols << k) for k in range(levels)]
+            pyramid = WaveletPyramid(
+                rng.random(shapes[0]),
+                tuple(
+                    DetailTriple(*(rng.random(shape) for _ in range(3)))
+                    for shape in shapes[::-1]
+                ),
+                bank.name,
+            )
+            ran += self._agree(
+                _outcome(mallat_reconstruct_2d, pyramid, bank, kernel=reference),
+                _outcome(run_spmd_reconstruct, paragon(nranks), pyramid, bank, kernel=kernel),
+                lambda out: [getattr(out, "image", out)],
+                (nranks, bank.name, levels, local, cols),
+            )
+        assert ran >= 60
 
 
 class TestLaunchMemory:

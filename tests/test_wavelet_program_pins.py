@@ -8,13 +8,21 @@ striped and block decompositions (1x1 and 2x2 grids), the striped
 reconstruction, and the 1-D forward and inverse programs, for the four
 kernels, P in {1, 4} and the D2/D4/D8 banks.  A mismatch means a change
 moved an output byte or a virtual-time charge.
+
+:data:`MESSAGE_PINS` cover what the run digests do not: the messages
+themselves.  Over the same grid, each rank's sequence of ``(dst, tag,
+payload shape, dtype)`` — one entry per send op it yields, containers
+walked with dict keys in sorted order — is digested per case, so a
+refactor of the exchanges that reorders, reshapes or retags a message
+fails here even when every result byte survives.
 """
 
 import numpy as np
 import pytest
 
-from tests._digest_util import run_result_digest
+from tests._digest_util import digest, run_result_digest
 from repro.machines import Engine, paragon
+from repro.machines.engine import _SendOp
 from repro.wavelet import dwt_1d, filter_bank_for_length, mallat_decompose_2d
 from repro.wavelet.parallel.decomposition import (
     BlockDecomposition,
@@ -158,29 +166,29 @@ def _signal():
     return np.random.default_rng(8).normal(size=SIGNAL)
 
 
-def _run(program_name, kernel, nranks, bank):
+def _run(program_name, kernel, nranks, bank, wrap=lambda program: program):
     engine = Engine(paragon(nranks))
     if program_name == "striped":
         decomp = StripeDecomposition(SIDE, SIDE, nranks, LEVELS)
         return engine.run(
-            striped_wavelet_program, _image(), bank, LEVELS, decomp, kernel=kernel
+            wrap(striped_wavelet_program), _image(), bank, LEVELS, decomp, kernel=kernel
         )
     if program_name == "block":
         side = 2 if nranks == 4 else 1
         decomp = BlockDecomposition(SIDE, SIDE, side, side, LEVELS)
         return engine.run(
-            block_wavelet_program, _image(), bank, LEVELS, decomp, kernel=kernel
+            wrap(block_wavelet_program), _image(), bank, LEVELS, decomp, kernel=kernel
         )
     if program_name == "reconstruct":
         pyramid = mallat_decompose_2d(_image(), bank, LEVELS)
         decomp = StripeDecomposition(SIDE, SIDE, nranks, LEVELS)
         return engine.run(
-            striped_reconstruct_program, pyramid, bank, decomp, kernel=kernel
+            wrap(striped_reconstruct_program), pyramid, bank, decomp, kernel=kernel
         )
     if program_name == "dwt_1d":
-        return engine.run(dwt_1d_program, _signal(), bank, LEVELS, kernel=kernel)
+        return engine.run(wrap(dwt_1d_program), _signal(), bank, LEVELS, kernel=kernel)
     approx, details = dwt_1d(_signal(), bank, LEVELS)
-    return engine.run(idwt_1d_program, approx, details, bank, kernel=kernel)
+    return engine.run(wrap(idwt_1d_program), approx, details, bank, kernel=kernel)
 
 
 CASES = [
@@ -200,3 +208,183 @@ CASES = [
 def test_run_digest_pinned(program, kernel, nranks, length):
     run = _run(program, kernel, nranks, filter_bank_for_length(length))
     assert run_result_digest(run) == PINS[f"{program}/{kernel}/P{nranks}/D{length}"]
+
+
+#: Captured from the programs before guard exchanges, distribution and
+#: collection moved into shared helpers; a rank-1 case sends nothing.
+MESSAGE_PINS = {
+    "striped/conv/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "striped/conv/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "striped/conv/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "striped/conv/P4/D2": "188b4ea4d2d292c0876b904f9f33aaaebb4bf00b88f120acefade7dd64a5b0f1",
+    "striped/conv/P4/D4": "cba714ac2d95965707bf57f919d6f1b4cd358c0ff4eff35ce5d10b7252b1918d",
+    "striped/conv/P4/D8": "a49add67a48e3fdd0904a543ec9988db41118983c31051793cb5ec61df1cf6ff",
+    "striped/lifting/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "striped/lifting/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "striped/lifting/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "striped/lifting/P4/D2": "c6c54dc668c3a8a118d2141951b7e1568d8f1ac5e660f5621f2fa5e012a418e5",
+    "striped/lifting/P4/D4": "188b4ea4d2d292c0876b904f9f33aaaebb4bf00b88f120acefade7dd64a5b0f1",
+    "striped/lifting/P4/D8": "d353a24addf4a8dc1523d51a5f53407e7a0a75995f79839ad4596b7057780c79",
+    "striped/fused/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "striped/fused/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "striped/fused/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "striped/fused/P4/D2": "c6c54dc668c3a8a118d2141951b7e1568d8f1ac5e660f5621f2fa5e012a418e5",
+    "striped/fused/P4/D4": "188b4ea4d2d292c0876b904f9f33aaaebb4bf00b88f120acefade7dd64a5b0f1",
+    "striped/fused/P4/D8": "d353a24addf4a8dc1523d51a5f53407e7a0a75995f79839ad4596b7057780c79",
+    "striped/single-loop/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "striped/single-loop/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "striped/single-loop/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "striped/single-loop/P4/D2": "c6c54dc668c3a8a118d2141951b7e1568d8f1ac5e660f5621f2fa5e012a418e5",
+    "striped/single-loop/P4/D4": "3eded0d01ab753e05b0dfbe7d9efead16664da82460688fd056a335f320f8f10",
+    "striped/single-loop/P4/D8": "8fed804cf74e5c38a7e9359dd46d0e470bda8aa53ab5a0c487608a608202c9ba",
+    "block/conv/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "block/conv/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "block/conv/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "block/conv/P4/D2": "a3d8d8077818216b6942830e49a21698ecf381ed84115021465078fe22075cbb",
+    "block/conv/P4/D4": "0cbe982987eb56ec6116fe1bc4f7f2be337995e70cf162e67c986c68470f0b17",
+    "block/conv/P4/D8": "262ff47aded8c5257f98f37bf4312a3f6819aeb8f18de6fb92ff544364275c83",
+    "block/lifting/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "block/lifting/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "block/lifting/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "block/lifting/P4/D2": "9b4dc97eb0d24e2531a87afa1282f00221b8de4962002f8373b7cc03bebdba62",
+    "block/lifting/P4/D4": "a3d8d8077818216b6942830e49a21698ecf381ed84115021465078fe22075cbb",
+    "block/lifting/P4/D8": "f770ae4ae2a1c3b9899933255485827ae70670c006fd6aac4609af62b74d395d",
+    "block/fused/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "block/fused/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "block/fused/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "block/fused/P4/D2": "9b4dc97eb0d24e2531a87afa1282f00221b8de4962002f8373b7cc03bebdba62",
+    "block/fused/P4/D4": "a3d8d8077818216b6942830e49a21698ecf381ed84115021465078fe22075cbb",
+    "block/fused/P4/D8": "f770ae4ae2a1c3b9899933255485827ae70670c006fd6aac4609af62b74d395d",
+    "block/single-loop/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "block/single-loop/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "block/single-loop/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "block/single-loop/P4/D2": "9b4dc97eb0d24e2531a87afa1282f00221b8de4962002f8373b7cc03bebdba62",
+    "block/single-loop/P4/D4": "e2247b0c9e632bd8e0f489c9e12d897b9732031ebe2e75cc6526e89f9ccfbe13",
+    "block/single-loop/P4/D8": "c94443e2a6b3a696095b207b70f747a6a2c4bd77b66a8089ca643ea7d41ba176",
+    "reconstruct/conv/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "reconstruct/conv/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "reconstruct/conv/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "reconstruct/conv/P4/D2": "36cce0c3a3c800ee9cb8dd20b80ca1a8c24a410f28be2d71ab2a8df4004c8438",
+    "reconstruct/conv/P4/D4": "c44c90951886a7f47ef42f2b7148d19d469ccff2b8e52b130f970193a31f51ec",
+    "reconstruct/conv/P4/D8": "123ad83eb9fc024445ef2ed7a8e964f48551ade4c3489b639acc7bc3d70a8687",
+    "reconstruct/lifting/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "reconstruct/lifting/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "reconstruct/lifting/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "reconstruct/lifting/P4/D2": "bac2cd7074adb7986471270f9c8a3c0a3427e1516610738cabbbf7e03f468460",
+    "reconstruct/lifting/P4/D4": "c6712ee1af0763bac0444797aa1d113a1f788d8362fddb52abf798bd6acb3d51",
+    "reconstruct/lifting/P4/D8": "63ee577d9c82d59a22ae05cbd0598213c81e76c4dc49ad98e768766836a5f38c",
+    "reconstruct/fused/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "reconstruct/fused/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "reconstruct/fused/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "reconstruct/fused/P4/D2": "bac2cd7074adb7986471270f9c8a3c0a3427e1516610738cabbbf7e03f468460",
+    "reconstruct/fused/P4/D4": "c6712ee1af0763bac0444797aa1d113a1f788d8362fddb52abf798bd6acb3d51",
+    "reconstruct/fused/P4/D8": "63ee577d9c82d59a22ae05cbd0598213c81e76c4dc49ad98e768766836a5f38c",
+    "reconstruct/single-loop/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "reconstruct/single-loop/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "reconstruct/single-loop/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "reconstruct/single-loop/P4/D2": "bac2cd7074adb7986471270f9c8a3c0a3427e1516610738cabbbf7e03f468460",
+    "reconstruct/single-loop/P4/D4": "c6712ee1af0763bac0444797aa1d113a1f788d8362fddb52abf798bd6acb3d51",
+    "reconstruct/single-loop/P4/D8": "63ee577d9c82d59a22ae05cbd0598213c81e76c4dc49ad98e768766836a5f38c",
+    "dwt_1d/conv/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "dwt_1d/conv/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "dwt_1d/conv/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "dwt_1d/conv/P4/D2": "8c7c2ea0883fda12a564d3345eaec5fdda7050b03bb0fd5b0cc941165cda7c95",
+    "dwt_1d/conv/P4/D4": "f1eef55c931b2d5ec103e03b2545706654606eac928b215d8360b7fba9e23e9b",
+    "dwt_1d/conv/P4/D8": "b1034e482169ec38b5332785152174c33d8d9307952e5bd2eef7bea475ce4449",
+    "dwt_1d/lifting/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "dwt_1d/lifting/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "dwt_1d/lifting/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "dwt_1d/lifting/P4/D2": "54ad5dba7f1b949fa9a2f602b61175e40248cd31cc812351eaa80eefa95dd9cb",
+    "dwt_1d/lifting/P4/D4": "8c7c2ea0883fda12a564d3345eaec5fdda7050b03bb0fd5b0cc941165cda7c95",
+    "dwt_1d/lifting/P4/D8": "c2e69769f232fd9d9e4e48b8eabd7e3cec7c81e564d2e8ecc325f2599d3877ca",
+    "dwt_1d/fused/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "dwt_1d/fused/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "dwt_1d/fused/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "dwt_1d/fused/P4/D2": "54ad5dba7f1b949fa9a2f602b61175e40248cd31cc812351eaa80eefa95dd9cb",
+    "dwt_1d/fused/P4/D4": "8c7c2ea0883fda12a564d3345eaec5fdda7050b03bb0fd5b0cc941165cda7c95",
+    "dwt_1d/fused/P4/D8": "c2e69769f232fd9d9e4e48b8eabd7e3cec7c81e564d2e8ecc325f2599d3877ca",
+    "dwt_1d/single-loop/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "dwt_1d/single-loop/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "dwt_1d/single-loop/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "dwt_1d/single-loop/P4/D2": "54ad5dba7f1b949fa9a2f602b61175e40248cd31cc812351eaa80eefa95dd9cb",
+    "dwt_1d/single-loop/P4/D4": "8c7c2ea0883fda12a564d3345eaec5fdda7050b03bb0fd5b0cc941165cda7c95",
+    "dwt_1d/single-loop/P4/D8": "c2e69769f232fd9d9e4e48b8eabd7e3cec7c81e564d2e8ecc325f2599d3877ca",
+    "idwt_1d/conv/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "idwt_1d/conv/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "idwt_1d/conv/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "idwt_1d/conv/P4/D2": "237763662a83a23a54168b23d7f09f053df84b533072fd497cd23c01c8541e3f",
+    "idwt_1d/conv/P4/D4": "590df4b63f5835673801f56ea28a7ce810c4046df752aa295d2826070582e799",
+    "idwt_1d/conv/P4/D8": "5527506b64b881356ed6c439e66ca0029304ea2d45b8298e710b12e17ba26e71",
+    "idwt_1d/lifting/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "idwt_1d/lifting/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "idwt_1d/lifting/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "idwt_1d/lifting/P4/D2": "4c198f1ee8df259cb3a589215b8175e4c427e7dea54b6cc7bcdb60699b005665",
+    "idwt_1d/lifting/P4/D4": "91533d37b9fdad98cc5760108b28bb13c7b259a0ca859116abe90f904665a952",
+    "idwt_1d/lifting/P4/D8": "495870c990c40a7302e8dcbfc37a9394bcd874c27f6c38def5d74dc28ebfa896",
+    "idwt_1d/fused/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "idwt_1d/fused/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "idwt_1d/fused/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "idwt_1d/fused/P4/D2": "4c198f1ee8df259cb3a589215b8175e4c427e7dea54b6cc7bcdb60699b005665",
+    "idwt_1d/fused/P4/D4": "91533d37b9fdad98cc5760108b28bb13c7b259a0ca859116abe90f904665a952",
+    "idwt_1d/fused/P4/D8": "495870c990c40a7302e8dcbfc37a9394bcd874c27f6c38def5d74dc28ebfa896",
+    "idwt_1d/single-loop/P1/D2": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "idwt_1d/single-loop/P1/D4": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "idwt_1d/single-loop/P1/D8": "270d6d71785f5e96ccfe155ffe20de0eac55ecd784c0d541468c4988e6bcaf42",
+    "idwt_1d/single-loop/P4/D2": "4c198f1ee8df259cb3a589215b8175e4c427e7dea54b6cc7bcdb60699b005665",
+    "idwt_1d/single-loop/P4/D4": "91533d37b9fdad98cc5760108b28bb13c7b259a0ca859116abe90f904665a952",
+    "idwt_1d/single-loop/P4/D8": "495870c990c40a7302e8dcbfc37a9394bcd874c27f6c38def5d74dc28ebfa896",
+}
+
+
+def _describe(payload):
+    """A payload's message shape: arrays as ``(dtype, shape)``, containers
+    walked element by element (dicts by sorted key, via the digest)."""
+    if isinstance(payload, np.ndarray):
+        return (str(payload.dtype), payload.shape)
+    if isinstance(payload, dict):
+        return {key: _describe(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_describe(item) for item in payload]
+    return type(payload).__name__
+
+
+def _recording(program, log):
+    """``program`` forwarding every op it yields, with each send's
+    ``(dst, tag, shape)`` appended to ``log[rank]``."""
+
+    def recorded(ctx, *args, **kwargs):
+        sent = log.setdefault(ctx.rank, [])
+        gen = program(ctx, *args, **kwargs)
+        reply = None
+        while True:
+            try:
+                op = gen.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            if isinstance(op, _SendOp):
+                sent.append((op.dst, op.tag, _describe(op.payload)))
+            reply = yield op
+
+    return recorded
+
+
+def _message_digest(program, kernel, nranks, length):
+    log = {}
+    _run(
+        program,
+        kernel,
+        nranks,
+        filter_bank_for_length(length),
+        wrap=lambda target: _recording(target, log),
+    )
+    return digest([log[rank] for rank in range(nranks)])
+
+
+@pytest.mark.parametrize(
+    "program,kernel,nranks,length",
+    CASES,
+    ids=[f"{p}-{k}-P{n}-D{m}" for p, k, n, m in CASES],
+)
+def test_messages_pinned(program, kernel, nranks, length):
+    got = _message_digest(program, kernel, nranks, length)
+    assert got == MESSAGE_PINS[f"{program}/{kernel}/P{nranks}/D{length}"]
