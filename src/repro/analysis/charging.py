@@ -252,17 +252,18 @@ class _ProgramChecker:
 
     def _flush(self, pending: set[_Pending], reason: str, line: int) -> set[_Pending]:
         for item in sorted(pending, key=lambda p: (p.line, p.name)):
-            self.findings.append(
-                Finding(
-                    rule_id=RULE_UNCHARGED.id,
-                    module=self.module.name,
-                    path=self.module.path,
-                    line=item.line,
-                    message=f"{item.name}() is never charged "
-                    f"(yield ctx.compute/charge) before {reason} at "
-                    f"line {line}",
-                )
+            finding = Finding(
+                rule_id=RULE_UNCHARGED.id,
+                module=self.module.name,
+                path=self.module.path,
+                line=item.line,
+                message=f"{item.name}() is never charged "
+                f"(yield ctx.compute/charge) before {reason} at "
+                f"line {line}",
             )
+            # A loop body runs once per fixpoint pass; report each site once.
+            if finding not in self.findings:
+                self.findings.append(finding)
         return set()
 
     def _run_block(self, body: list[ast.stmt], pending: set[_Pending]) -> set[_Pending]:

@@ -21,12 +21,7 @@ Parallel API (under :mod:`repro.wavelet.parallel`)
   hierarchical virtualization (the MasPar algorithms of Section 4.1).
 """
 
-from repro.wavelet.conv import (
-    analyze_axis,
-    analyze_axis_valid,
-    synthesize_axis,
-    synthesize_axis_valid,
-)
+from repro.wavelet.conv import analyze_axis_valid, synthesize_axis_valid
 from repro.wavelet.cost import (
     OpCount,
     dwt_level_cost,
@@ -49,10 +44,8 @@ from repro.wavelet.kernels import (
 from repro.wavelet.lifting import (
     LiftingScheme,
     LiftingStep,
-    lifting_analyze_axis,
     lifting_analyze_axis_valid,
     lifting_scheme,
-    lifting_synthesize_axis,
     lifting_synthesize_axis_valid,
 )
 from repro.wavelet.filters import (
@@ -102,9 +95,7 @@ __all__ = [
     "daubechies_filter",
     "filter_bank_for_length",
     "SUPPORTED_LENGTHS",
-    "analyze_axis",
     "analyze_axis_valid",
-    "synthesize_axis",
     "synthesize_axis_valid",
     "Subbands2D",
     "mallat_step_2d",
@@ -145,8 +136,6 @@ __all__ = [
     "LiftingScheme",
     "LiftingStep",
     "lifting_scheme",
-    "lifting_analyze_axis",
-    "lifting_synthesize_axis",
     "lifting_analyze_axis_valid",
     "lifting_synthesize_axis_valid",
 ]

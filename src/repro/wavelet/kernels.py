@@ -4,7 +4,7 @@ Every public transform entry point accepts
 ``kernel="conv"|"lifting"|"fused"|"single-loop"`` (default ``"conv"``,
 the seed implementation, byte-for-byte preserved):
 
-* ``"conv"`` — direct periodized correlation/convolution
+* ``"conv"`` — direct correlation/convolution
   (:mod:`repro.wavelet.conv`), one pass per subband.
 * ``"lifting"`` — the factored scheme of :mod:`repro.wavelet.lifting`:
   roughly half the multiply-adds, both subbands in one in-place pass over
@@ -17,23 +17,28 @@ the seed implementation, byte-for-byte preserved):
   before the next, so each pixel is visited once per level and no
   intermediate subband image exists at all.
 
-A kernel is the only code that knows its arithmetic.  Per axis it offers
-the periodized passes (:meth:`~WaveletKernel.analyze`,
-:meth:`~WaveletKernel.synthesize`), the valid-mode passes over a
-guard-extended segment whose first ``front`` samples come from the
-preceding neighbor (:meth:`~WaveletKernel.analyze_valid`,
-:meth:`~WaveletKernel.synthesize_valid` — what the SPMD programs run),
-the guard depths those passes need, the :class:`~repro.wavelet.cost.OpCount`
-one pass charges, and the smallest image a 2-D step accepts.
+A kernel is the only code that knows its arithmetic, and it has one per
+axis: the valid-mode passes over a guard-extended segment whose first
+``front`` samples come from the preceding neighbor
+(:meth:`~WaveletKernel.analyze_valid`,
+:meth:`~WaveletKernel.synthesize_valid`), the guard depths those passes
+need, the :class:`~repro.wavelet.cost.OpCount` one pass charges, and the
+smallest side it accepts.  The sequential transform is the one-rank
+case of the SPMD programs: the base class's periodized passes
+(:meth:`~WaveletKernel.analyze`, :meth:`~WaveletKernel.synthesize`)
+extend the axis by the guard depths, wrapped from the data's own ends by
+:func:`wrap_margins`, and run the valid-mode pass over it.  Every
+output gets the same products in the same tap order as the textbook
+periodized formula, so the results are bit-identical to it.
 
 The base class validates every kernel's inputs the same way and runs
 every kernel's 2-D step in strips (Barina et al.): each block of 32
-coarse rows gathers only the input rows it needs plus the guard margins
-and transforms them in one per-strip method — the row pass, then the
-column pass in valid mode, so no full-height L/H image is built.
-Single-loop overrides only the per-strip methods, with its valid-mode
-sweep and inverse sweep.  Each output gets the same products in the
-same step and tap order as in the kernel's whole-image level.
+coarse rows copies only the input rows it needs plus the guard margins,
+by slices, into one buffer with column margins too, and transforms it
+in one per-strip method — the valid-mode row pass, then the valid-mode
+column pass, so no full-height L/H image is built.  Single-loop
+overrides only the per-strip methods, with its valid-mode sweep and
+inverse sweep.
 
 :func:`get_kernel` resolves one of the four names to a fresh instance;
 anything else raises :class:`~repro.errors.ConfigurationError`.
@@ -45,10 +50,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.wavelet.conv import (
-    analyze_axis,
+    _along,
+    _resized,
     analyze_axis_valid,
     normalize_axis_index,
-    synthesize_axis,
     synthesize_axis_valid,
 )
 from repro.wavelet.cost import (
@@ -60,10 +65,8 @@ from repro.wavelet.cost import (
 )
 from repro.wavelet.filters import FilterBank
 from repro.wavelet.lifting import (
-    lifting_analyze_axis,
     lifting_analyze_axis_valid,
     lifting_scheme,
-    lifting_synthesize_axis,
     lifting_synthesize_axis_valid,
 )
 from repro.wavelet.singleloop import (
@@ -79,7 +82,32 @@ __all__ = [
     "FusedKernel",
     "SingleLoopKernel",
     "get_kernel",
+    "wrap_margins",
 ]
+
+
+def _copy_wrapped(dst: np.ndarray, src: np.ndarray, start: int) -> None:
+    """``dst[i] = src[(start + i) mod len(src)]`` along the first axis,
+    one slice per run of consecutive entries."""
+    n = len(src)
+    i = 0
+    while i < len(dst):
+        j = (start + i) % n
+        k = min(n - j, len(dst) - i)
+        dst[i : i + k] = src[j : j + k]
+        i += k
+
+
+def wrap_margins(buf: np.ndarray, owned: int, front: int, back: int, axis: int = 0) -> None:
+    """Fill the margins of ``buf`` (``front + owned + back`` entries along
+    ``axis``) in place from its own owned part, read periodically: the
+    front margin ends with the owned part's last entries and the back
+    margin starts with its first.  A margin deeper than the owned part
+    wraps it more than once."""
+    zone = buf.swapaxes(axis, 0)
+    body = zone[front : front + owned]
+    _copy_wrapped(zone[:front], body, -front)
+    _copy_wrapped(zone[front + owned :], body, 0)
 
 
 class WaveletKernel:
@@ -96,14 +124,6 @@ class WaveletKernel:
     block_rows = 32
 
     # -- per-axis arithmetic (one scheme per subclass) -----------------------
-
-    def analyze(self, data: np.ndarray, bank: FilterBank, axis: int):
-        """Periodized analysis along ``axis``: ``(low, high)``, axis halved."""
-        raise NotImplementedError
-
-    def synthesize(self, low, high, bank: FilterBank, axis: int) -> np.ndarray:
-        """Invert :meth:`analyze`: the doubled-axis signal."""
-        raise NotImplementedError
 
     def analyze_valid(self, ext, bank: FilterBank, axis: int, out_len: int, front: int):
         """Valid-mode analysis of a guard-extended segment whose first
@@ -138,9 +158,60 @@ class WaveletKernel:
         raise NotImplementedError
 
     def min_side(self, bank: FilterBank) -> int:
-        """Smallest image side a 2-D analysis step accepts: periodized
-        filtering may not wrap more than once."""
+        """Smallest axis a periodized analysis accepts (and a synthesis
+        produces): the filter length."""
         raise NotImplementedError
+
+    # -- periodized passes: the valid-mode pass over wrapped margins ---------
+
+    def analyze(self, data, bank: FilterBank, axis: int):
+        """Periodized analysis along ``axis``: ``(low, high)``, axis halved.
+
+        The axis is extended by :meth:`analysis_guard_depths`, wrapped
+        from its own ends, and run through :meth:`analyze_valid`."""
+        need = self.min_side(bank)
+        data = np.asarray(data, dtype=np.float64)
+        axis = normalize_axis_index(axis, data.ndim)
+        n = data.shape[axis]
+        if n % 2 != 0:
+            raise ConfigurationError(f"axis length must be even for decimation, got {n}")
+        if n < need:
+            raise ConfigurationError(
+                f"axis length {n} is shorter than the {self.name!r} kernel's "
+                f"minimum of {need} samples (the filter length)"
+            )
+        front, back = self.analysis_guard_depths(bank)
+        ext = np.empty(_resized(data.shape, axis, front + n + back))
+        _along(ext, axis, front, front + n)[...] = data
+        wrap_margins(ext, n, front, back, axis)
+        return self.analyze_valid(ext, bank, axis, n // 2, front)
+
+    def synthesize(self, low, high, bank: FilterBank, axis: int) -> np.ndarray:
+        """Invert :meth:`analyze`: the doubled-axis signal.
+
+        Both subbands are extended by :meth:`synthesis_guard_depths`,
+        wrapped from their own ends, and run through
+        :meth:`synthesize_valid`."""
+        need = self.min_side(bank)
+        low = np.asarray(low, dtype=np.float64)
+        high = np.asarray(high, dtype=np.float64)
+        if low.shape != high.shape:
+            raise ConfigurationError(
+                f"low shape {low.shape} does not match high shape {high.shape}"
+            )
+        axis = normalize_axis_index(axis, low.ndim)
+        n = low.shape[axis]
+        if 2 * n < need:
+            raise ConfigurationError(
+                f"a subband of {n} samples synthesizes fewer than the {need} the "
+                f"{self.name!r} kernel needs (the filter length)"
+            )
+        front, back = self.synthesis_guard_depths(bank)
+        ext = np.empty((2, *_resized(low.shape, axis, front + n + back)))
+        for band, data in zip(ext, (low, high)):
+            _along(band, axis, front, front + n)[...] = data
+        wrap_margins(ext, n, front, back, axis + 1)
+        return self.synthesize_valid(ext[0], ext[1], bank, axis, 2 * n, front)
 
     # -- shared 2-D step -----------------------------------------------------
 
@@ -199,67 +270,65 @@ class WaveletKernel:
 
     def _analyze_2d(self, image: np.ndarray, bank: FilterBank) -> tuple:
         """Strip traversal: each strip's input rows plus its guard rows,
-        wrapped periodically, go through :meth:`_analyze_strip`."""
+        read periodically, and its column margins go through
+        :meth:`_analyze_strip`."""
         rows, cols = image.shape
         front, back = self.analysis_guard_depths(bank)
         half_rows, half_cols = rows // 2, cols // 2
         ll, lh, hl, hh = (np.empty((half_rows, half_cols)) for _ in range(4))
         for r0 in range(0, half_rows, self.block_rows):
             r1 = min(half_rows, r0 + self.block_rows)
-            need = np.arange(2 * r0 - front, 2 * r1 + back) % rows
+            ext = np.empty((2 * (r1 - r0) + front + back, front + cols + back))
+            _copy_wrapped(ext[:, front : front + cols], image, 2 * r0 - front)
+            wrap_margins(ext, cols, front, back, axis=1)
             ll[r0:r1], lh[r0:r1], hl[r0:r1], hh[r0:r1] = self._analyze_strip(
-                image, need, bank, front, r1 - r0
+                ext, bank, front, r1 - r0, half_cols
             )
         return ll, lh, hl, hh
 
     def _synthesize_2d(self, ll, lh, hl, hh, bank: FilterBank) -> np.ndarray:
-        """Strip traversal: each strip's subband rows plus its guard rows,
-        wrapped periodically, go through :meth:`_synthesize_strip`."""
+        """Strip traversal: each strip's rows of the four subbands plus
+        their guard rows, read periodically, and their column margins go
+        through :meth:`_synthesize_strip` in one ``(4, ...)`` buffer."""
         half_rows, half_cols = ll.shape
         rows = 2 * half_rows
         front, back = self.synthesis_guard_depths(bank)
         image = np.empty((rows, 2 * half_cols))
         for j0 in range(0, rows, 2 * self.block_rows):
             j1 = min(rows, j0 + 2 * self.block_rows)
-            seg = np.arange(j0 // 2 - front, (j1 + 1) // 2 + back) % half_rows
-            self._synthesize_strip(ll, lh, hl, hh, seg, bank, front, image[j0:j1])
+            seg = np.empty((4, (j1 - j0) // 2 + front + back, front + half_cols + back))
+            for band, data in zip(seg, (ll, lh, hl, hh)):
+                _copy_wrapped(band[:, front : front + half_cols], data, j0 // 2 - front)
+            wrap_margins(seg, half_cols, front, back, axis=2)
+            self._synthesize_strip(seg, bank, front, image[j0:j1])
         return image
 
-    def _analyze_strip(self, image, need, bank: FilterBank, front: int, out_rows: int):
-        """One strip of ``image``, its rows ``need`` (``front`` guard rows
-        first): periodized row pass, then valid-mode column pass, to
-        ``out_rows`` rows of each band."""
-        low, high = self.analyze(image[need], bank, 1)
+    def _analyze_strip(self, ext, bank: FilterBank, front: int, out_rows: int, out_cols: int):
+        """One strip with margins on both axes (``front`` guards first):
+        valid-mode row pass, then valid-mode column pass, to ``out_rows x
+        out_cols`` samples of each band."""
+        low, high = self.analyze_valid(ext, bank, 1, out_cols, front)
         return (
             *self.analyze_valid(low, bank, 0, out_rows, front),
             *self.analyze_valid(high, bank, 0, out_rows, front),
         )
 
-    def _synthesize_strip(self, ll, lh, hl, hh, seg, bank, front: int, out) -> None:
-        """One strip from the subband rows ``seg`` (``front`` guard rows
-        first): valid-mode column pass, then periodized row pass, into the
-        image rows ``out``."""
+    def _synthesize_strip(self, seg, bank: FilterBank, front: int, out) -> None:
+        """One strip from the four subbands' rows with margins on both axes
+        (``front`` guards first): valid-mode column pass, then valid-mode
+        row pass, into the image rows ``out``.  The column pass also runs
+        over the margin columns; a column filter never mixes columns, so
+        they come out as the wrapped copies the row pass needs."""
         out_rows = out.shape[0]
-        low = self.synthesize_valid(ll[seg], lh[seg], bank, 0, out_rows, front)
-        high = self.synthesize_valid(hl[seg], hh[seg], bank, 0, out_rows, front)
-        out[...] = self.synthesize(low, high, bank, 1)
+        low = self.synthesize_valid(seg[0], seg[1], bank, 0, out_rows, front)
+        high = self.synthesize_valid(seg[2], seg[3], bank, 0, out_rows, front)
+        out[...] = self.synthesize_valid(low, high, bank, 1, out.shape[1], front)
 
 
 class ConvKernel(WaveletKernel):
     """The seed convolution implementation (the default)."""
 
     name = "conv"
-
-    def analyze(self, data, bank, axis):
-        return (
-            analyze_axis(data, bank.lowpass, axis),
-            analyze_axis(data, bank.highpass, axis),
-        )
-
-    def synthesize(self, low, high, bank, axis):
-        return synthesize_axis(low, bank.lowpass, axis) + synthesize_axis(
-            high, bank.highpass, axis
-        )
 
     def analyze_valid(self, ext, bank, axis, out_len, front):
         # The correlation window starts at each output's own sample, so
@@ -299,12 +368,6 @@ class LiftingKernel(WaveletKernel):
     """Factored lifting passes, separable (row pass then column pass)."""
 
     name = "lifting"
-
-    def analyze(self, data, bank, axis):
-        return lifting_analyze_axis(data, lifting_scheme(bank), axis)
-
-    def synthesize(self, low, high, bank, axis):
-        return lifting_synthesize_axis(low, high, lifting_scheme(bank), axis)
 
     def analyze_valid(self, ext, bank, axis, out_len, front):
         return lifting_analyze_axis_valid(
@@ -368,30 +431,18 @@ class SingleLoopKernel(LiftingKernel):
     def level_cost(self, rows, cols, bank):
         return single_loop_sweep_cost(rows, cols, lifting_scheme(bank).step_taps)
 
-    def sweep_valid(
-        self, ext, bank, out_rows, out_cols, lead_rows, lead_cols=0, *, periodic_cols=False
-    ):
-        """Valid-mode sweep over a guard-extended tile; see
-        :func:`repro.wavelet.singleloop.single_loop_analyze_valid`."""
+    def sweep_valid(self, ext, bank, out_rows, out_cols, lead_rows, lead_cols):
+        """Valid-mode sweep over a tile with guard margins on both axes;
+        see :func:`repro.wavelet.singleloop.single_loop_analyze_valid`."""
         return single_loop_analyze_valid(
-            ext,
-            lifting_scheme(bank),
-            out_rows,
-            out_cols,
-            lead_rows,
-            lead_cols,
-            periodic_cols=periodic_cols,
+            ext, lifting_scheme(bank), out_rows, out_cols, lead_rows, lead_cols
         )
 
-    def _analyze_strip(self, image, need, bank, front, out_rows):
-        return self.sweep_valid(
-            image[need], bank, out_rows, image.shape[1] // 2, front, periodic_cols=True
-        )
+    def _analyze_strip(self, ext, bank, front, out_rows, out_cols):
+        return self.sweep_valid(ext, bank, out_rows, out_cols, front, front)
 
-    def _synthesize_strip(self, ll, lh, hl, hh, seg, bank, front, out):
-        single_loop_synthesize_valid(
-            ll[seg], lh[seg], hl[seg], hh[seg], lifting_scheme(bank), front, out
-        )
+    def _synthesize_strip(self, seg, bank, front, out):
+        single_loop_synthesize_valid(*seg, lifting_scheme(bank), front, out)
 
 
 _FACTORIES = {

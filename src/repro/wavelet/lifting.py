@@ -25,22 +25,24 @@ are enforced (:data:`VERIFY_TOLERANCE`).
 Every pass slices the target axis where it lies, as the convolution
 primitives do: the lanes are the even and odd samples of that axis, and
 a column pass (``axis=0``) updates whole contiguous rows, with nothing
-transposed.  A periodized step splits each tap into a direct slice and a
-wrapped slice (the samples past the end of the lane come from its
-front), so no periodic extension of a lane is built.  The same step
-primitives (:func:`_circular_step`, :func:`_circular_shift`,
-:func:`_valid_step`) drive the separable passes here (and so the 2-D
-strips) and the single-loop sweep of :mod:`repro.wavelet.singleloop`.
-Valid-mode application tracks the exact interval of valid lane samples
-through every step and raises when the caller's guard margins are
-insufficient — the SPMD programs size their guard exchanges from
+transposed.  The passes run in valid mode over a segment extended by
+guard samples (a neighbor's, or the segment's own wrapped ends for the
+periodized pass of :meth:`repro.wavelet.kernels.WaveletKernel.analyze`):
+they track the exact interval of valid lane samples through every step
+and raise when the caller's guard margins are insufficient — the SPMD
+programs size their guard exchanges from
 :meth:`LiftingScheme.analysis_margins` /
-:meth:`LiftingScheme.synthesis_margins`.
+:meth:`LiftingScheme.synthesis_margins`.  One step primitive,
+:func:`_valid_step`, drives the separable passes here (and so the 2-D
+strips) and the single-loop sweeps of :mod:`repro.wavelet.singleloop`.
+Every lane it updates is C-ordered and of one shape, so each tap is one
+contiguous slice of the flattened lanes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,8 +55,6 @@ __all__ = [
     "LiftingStep",
     "LiftingScheme",
     "lifting_scheme",
-    "lifting_analyze_axis",
-    "lifting_synthesize_axis",
     "lifting_analyze_axis_valid",
     "lifting_synthesize_axis_valid",
     "VERIFY_TOLERANCE",
@@ -340,15 +340,20 @@ def _factor(bank: FilterBank) -> LiftingScheme:
 
 def _verify(bank: FilterBank, scheme: LiftingScheme) -> float:
     """Max-abs error of the scheme vs the convolution primitives on a
-    fixed random vector (analysis both subbands + round trip)."""
-    from repro.wavelet.conv import analyze_axis
+    fixed random vector (analysis both subbands + round trip).  Both run
+    in valid mode over one whole period of the vector on each side, so
+    no margin of an unverified scheme is probed."""
+    from repro.wavelet.conv import analyze_axis_valid
 
     n = max(64, 4 * bank.length)
     x = np.random.RandomState(12345).standard_normal(n)
-    a_ref = analyze_axis(x, bank.lowpass, 0)
-    d_ref = analyze_axis(x, bank.highpass, 0)
-    a, d = lifting_analyze_axis(x, scheme, 0)
-    back = lifting_synthesize_axis(a, d, scheme, 0)
+    wrapped = np.tile(x, 3)
+    a_ref = analyze_axis_valid(wrapped[n:], bank.lowpass, 0, n // 2)
+    d_ref = analyze_axis_valid(wrapped[n:], bank.highpass, 0, n // 2)
+    a, d = lifting_analyze_axis_valid(wrapped, scheme, 0, n // 2, n)
+    back = lifting_synthesize_axis_valid(
+        np.tile(a, 3), np.tile(d, 3), scheme, 0, n, n // 2
+    )
     return float(
         max(
             np.abs(a - a_ref).max(),
@@ -395,43 +400,8 @@ def lifting_scheme(bank: FilterBank) -> LiftingScheme:
 
 
 # --------------------------------------------------------------------------
-# Periodized application
+# Valid-mode application (guard-zone SPMD, the periodized passes, 2-D strips)
 # --------------------------------------------------------------------------
-
-
-def _circular_step(
-    target: np.ndarray, source: np.ndarray, step: LiftingStep, sign: float, axis: int
-) -> None:
-    """``target[n] += sign * sum_j c[j] * source[(n + dmin + j) mod N]``
-    along ``axis``, splitting each tap into its direct and wrapped slice
-    (no periodic-extension copy of the lane)."""
-    n = source.shape[axis]
-    lo = step.dmin
-    hi = lo + len(step.coeffs) - 1
-    if max(0, -lo) > n or max(0, hi) > n:
-        raise ConfigurationError(
-            f"axis of {n} lane samples too short for a lifting step reaching "
-            f"[{lo}, {hi}] (would wrap more than once)"
-        )
-    for j, c in enumerate(step.coeffs):
-        k = (lo + j) % n
-        sc = sign * c
-        if k == 0:
-            target += sc * source
-        else:
-            head = _along(target, axis, 0, n - k)
-            head += sc * _along(source, axis, k, n)
-            tail = _along(target, axis, n - k, n)
-            tail += sc * _along(source, axis, 0, k)
-
-
-def _circular_shift(arr: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """Left-rotate ``axis`` by ``k`` (``out[n] = arr[(n + k) mod N]``)."""
-    n = arr.shape[axis]
-    k %= n
-    if k == 0:
-        return arr
-    return np.concatenate([_along(arr, axis, k, n), _along(arr, axis, 0, k)], axis=axis)
 
 
 def _split_lanes(data: np.ndarray, axis: int):
@@ -441,90 +411,46 @@ def _split_lanes(data: np.ndarray, axis: int):
     return _along(data, axis, 0, None, 2).copy(), _along(data, axis, 1, None, 2).copy()
 
 
-def lifting_analyze_axis(data: np.ndarray, scheme: LiftingScheme, axis: int):
-    """Periodized lifting analysis along ``axis``.
-
-    Returns ``(approx, detail)``, each with the axis halved; numerically
-    equivalent to :func:`repro.wavelet.conv.analyze_axis` with the bank's
-    lowpass/highpass taps (see :data:`VERIFY_TOLERANCE`).
-    """
-    data = np.asarray(data, dtype=np.float64)
-    axis = normalize_axis_index(axis, data.ndim)
-    n = data.shape[axis]
-    if n % 2 != 0:
-        raise ConfigurationError(f"axis length must be even for decimation, got {n}")
-    if n < scheme.filter_length:
-        raise ConfigurationError(
-            f"axis length {n} is shorter than the filter "
-            f"({scheme.filter_length} taps); periodized filtering would "
-            "wrap more than once"
-        )
-    xe, xo = _split_lanes(data, axis)
-    lanes = {"e": xe, "o": xo}
-    for step in scheme.steps:
-        other = "o" if step.target == "e" else "e"
-        _circular_step(lanes[step.target], lanes[other], step, 1.0, axis)
-    approx = scheme.low_scale * _circular_shift(lanes[scheme.low_lane], scheme.low_shift, axis)
-    detail = scheme.high_scale * _circular_shift(
-        lanes[scheme.high_lane], scheme.high_shift, axis
-    )
-    return approx, detail
-
-
-def lifting_synthesize_axis(
-    approx: np.ndarray, detail: np.ndarray, scheme: LiftingScheme, axis: int
-) -> np.ndarray:
-    """Invert :func:`lifting_analyze_axis`: returns the doubled-axis signal
-    (equals the low + high channel sum of
-    :func:`repro.wavelet.conv.synthesize_axis`)."""
-    approx = np.asarray(approx, dtype=np.float64)
-    detail = np.asarray(detail, dtype=np.float64)
-    if approx.shape != detail.shape:
-        raise ConfigurationError(
-            f"approx shape {approx.shape} does not match detail shape {detail.shape}"
-        )
-    axis = normalize_axis_index(axis, approx.ndim)
-    lanes = {}
-    lanes[scheme.low_lane] = _circular_shift(
-        approx * (1.0 / scheme.low_scale), -scheme.low_shift, axis
-    )
-    lanes[scheme.high_lane] = _circular_shift(
-        detail * (1.0 / scheme.high_scale), -scheme.high_shift, axis
-    )
-    for step in reversed(scheme.steps):
-        other = "o" if step.target == "e" else "e"
-        _circular_step(lanes[step.target], lanes[other], step, -1.0, axis)
-    out = np.empty(_resized(approx.shape, axis, 2 * approx.shape[axis]), dtype=np.float64)
-    _along(out, axis, 0, None, 2)[...] = lanes["e"]
-    _along(out, axis, 1, None, 2)[...] = lanes["o"]
-    return out
-
-
-# --------------------------------------------------------------------------
-# Valid-mode application (guard-zone SPMD / 2-D strips)
-# --------------------------------------------------------------------------
-
-
 def _valid_step(target, source, step, t_valid, s_valid, sign, axis):
     """Apply a lifting step along ``axis`` where source samples exist;
     intersect validity.
 
     ``t_valid``/``s_valid`` are half-open index intervals of lane samples
     that are correct; returns the target's new valid interval.  Samples the
-    step cannot compute (missing source neighbors) are left untouched and
-    drop out of the valid interval.
+    step cannot compute (missing source neighbors) drop out of the valid
+    interval.
+
+    Both lanes must be C-ordered and of one shape: each tap is then one
+    contiguous slice of the flattened lanes, from the first outer index's
+    sample ``a`` to the last one's sample ``b``, and the source slice sits
+    ``k * prod(shape[axis + 1:])`` entries further on for tap offset
+    ``k``.  Between one outer index's ``[a, b)`` and the next, the slice
+    also updates samples outside ``[a, b)`` from the neighboring index's
+    samples; like those the step cannot compute, they leave the valid
+    interval, and every valid sample gets the same products in the same
+    order as from a per-index slice.
     """
-    n_target = target.shape[axis]
-    n_source = source.shape[axis]
+    if target.shape != source.shape or not (
+        target.flags.c_contiguous and source.flags.c_contiguous
+    ):
+        # A copy made to flatten the lane would silently drop the update.
+        raise ValueError(
+            f"lifting lanes must be C-ordered and of one shape, got "
+            f"{target.shape} and {source.shape}"
+        )
+    n = target.shape[axis]
     lo = step.dmin
     hi = step.dmin + len(step.coeffs) - 1
     a = max(0, -lo)
-    b = min(n_target, n_source - hi)
-    if b > a:
-        acc = _along(target, axis, a, b)
+    b = min(n, n - hi)
+    if b > a and target.size:
+        inner = math.prod(target.shape[axis + 1 :])
+        last = target.size - n * inner
+        flat_t, flat_s = target.reshape(-1), source.reshape(-1)
+        acc = flat_t[a * inner : last + b * inner]
         for j, c in enumerate(step.coeffs):
-            s0 = a + lo + j
-            acc += (sign * c) * _along(source, axis, s0, s0 + (b - a))
+            s0 = (a + lo + j) * inner
+            acc += (sign * c) * flat_s[s0 : s0 + acc.size]
     new_lo = max(t_valid[0], s_valid[0] - lo, a)
     new_hi = min(t_valid[1], s_valid[1] - hi, b)
     return (new_lo, new_hi)

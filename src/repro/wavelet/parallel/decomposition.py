@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import DecompositionError
+from repro.wavelet.kernels import wrap_margins
 
 __all__ = [
     "StripeDecomposition",
@@ -174,13 +175,12 @@ def exchange_guards(
     each a slice of ``buf`` as laid out (depth 0 is not sent).  Both sends
     precede both receives, the back guard's first (analysis) unless
     ``front_first`` (synthesis).  Without ``multi`` (a ring of one rank)
-    each margin is copied from the rank's own opposite edge."""
+    the margins wrap the rank's own entries, as often as they need."""
+    if not multi:
+        wrap_margins(buf, owned, front, back, axis)
+        return
     # A view with the guard axis first; swapping back restores the layout.
     zone = buf.swapaxes(axis, 0)
-    if not multi:
-        zone[front + owned :] = zone[front : front + back]
-        zone[:front] = zone[owned : owned + front]
-        return
     back_guard = zone[front : front + back].swapaxes(0, axis)
     front_guard = zone[owned : owned + front].swapaxes(0, axis)
     # The order flag is a literal at every call, so the protocol verifier

@@ -58,7 +58,7 @@ from repro.machines import tags
 from repro.machines.api import gather, scatter
 from repro.machines.engine import Machine, RunResult
 from repro.wavelet.filters import FilterBank
-from repro.wavelet.kernels import SingleLoopKernel, get_kernel
+from repro.wavelet.kernels import SingleLoopKernel, get_kernel, wrap_margins
 from repro.wavelet.parallel.decomposition import (
     BlockDecomposition,
     StripeDecomposition,
@@ -126,16 +126,18 @@ def striped_wavelet_program(
 
     ``kernel`` selects the filtering implementation (``"conv"``, the
     default seed path, ``"lifting"``, ``"fused"`` or ``"single-loop"``).
-    The fully-local row pass is the kernel's periodized pass and the
-    column pass its valid-mode pass over guards sized by
+    The fully-local row pass is the kernel's periodized pass (its
+    valid-mode pass over each row's own wrapped ends) and the column pass
+    its valid-mode pass over guards sized by
     :meth:`~repro.wavelet.kernels.WaveletKernel.analysis_guard_depths`,
     adding a front-guard exchange toward the south neighbor when the
     front depth is nonzero (``"fused"`` is ``"lifting"`` under another
     name, here as in the sequential step).  ``"single-loop"``
     exchanges row guards of the *raw* stripe instead (same depths — the
-    sweep's row erosion equals the separable column pass's) and runs one
-    monolithic valid-rows/periodized-columns sweep per level, charged as a
-    single :func:`~repro.wavelet.cost.single_loop_sweep_cost`.
+    sweep's row erosion equals the separable column pass's), wraps each
+    row's ends into column margins, and runs one monolithic valid-mode
+    sweep per level, charged as a single
+    :func:`~repro.wavelet.cost.single_loop_sweep_cost`.
     """
     rank, nranks = ctx.rank, ctx.nranks
     impl = get_kernel(kernel)
@@ -179,17 +181,18 @@ def striped_wavelet_program(
         if sweep:
             # Guards of the raw stripe, shipped before any arithmetic (the
             # sweep has no row-pass intermediates to exchange), land in the
-            # margins of one extended stripe.
-            ext = np.empty((front + rows + back, cols))
-            ext[front : front + rows] = current
+            # row margins of one extended stripe; each ships as its
+            # ``cols`` owned columns, and then every row, guard rows
+            # included, wraps its own ends into the column margins.
+            ext = np.empty((front + rows + back, front + cols + back))
+            ext[front : front + rows, front : front + cols] = current
             del current
             yield from exchange_guards(
-                ctx, ext, rows, front, back, north, south,
+                ctx, ext[:, front : front + cols], rows, front, back, north, south,
                 _TAG_SWEEP_GUARD, _TAG_SWEEP_GUARD_FRONT, multi=nranks > 1,
             )
-            ll, lh, hl, hh = impl.sweep_valid(
-                ext, bank, rows // 2, cols // 2, front, periodic_cols=True
-            )
+            wrap_margins(ext, cols, front, back, axis=1)
+            ll, lh, hl, hh = impl.sweep_valid(ext, bank, rows // 2, cols // 2, front, front)
             del ext
             yield ctx.charge(impl.level_cost(rows, cols, bank))
         else:

@@ -161,7 +161,8 @@ def idwt_1d_program(
     for level in range(levels - 1, -1, -1):
         d0, d1 = _segment(details[level].shape[0], nranks, rank)
         length = current.shape[0]
-        if 2 * length < min_side or length < max(s_front, s_back):
+        # A one-rank ring wraps its own segment, as deep as the guards go.
+        if 2 * length < min_side or (nranks > 1 and length < max(s_front, s_back)):
             raise DecompositionError(
                 f"local segment of {length} samples synthesizes fewer than the "
                 f"{min_side} samples the {impl.name!r} kernel needs, or is shorter "

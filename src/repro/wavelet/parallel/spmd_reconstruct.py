@@ -75,8 +75,9 @@ def striped_reconstruct_program(
     Every kernel runs its valid-mode column synthesis over guards sized by
     its synthesis guard depths (a north front guard, plus a south back
     guard when the inverse steps reach forwards), then its fully local
-    periodized row synthesis; the single-loop inverse shares the
-    separable lifting passes here.
+    periodized row synthesis (the valid-mode pass over the rows' own
+    wrapped ends); the single-loop inverse shares the separable lifting
+    passes here.
     """
     rank, nranks = ctx.rank, ctx.nranks
     impl = get_kernel(kernel)
@@ -98,7 +99,8 @@ def striped_reconstruct_program(
 
     for level in range(levels - 1, -1, -1):
         rows, cols = current.shape
-        if 2 * min(rows, cols) < min_side or rows < max(s_front, s_back):
+        # A one-rank ring wraps its own stripe, as deep as the guards go.
+        if 2 * min(rows, cols) < min_side or (nranks > 1 and rows < max(s_front, s_back)):
             raise DecompositionError(
                 f"local stripe {rows}x{cols} synthesizes fewer than the {min_side} "
                 f"rows and columns the {impl.name!r} kernel needs, or is shorter than "

@@ -21,22 +21,23 @@ The diagonal output scaling is deferred and fused: each subband is one
 multiply by the *product* of the two axes' scales, applied during lane
 extraction (the separable form scales twice, once per pass).
 
-Both sweeps run in valid mode over guard-extended rows, calling the step
-primitives of :mod:`repro.wavelet.lifting` with ``axis=1`` (horizontal)
-or ``axis=0`` (vertical), and track the interval of valid rows of every
-lane, raising :class:`~repro.errors.ConfigurationError` when the guards
-are too shallow:
+Both sweeps run in valid mode over tiles with guard margins on both
+axes, calling the one step primitive of :mod:`repro.wavelet.lifting`,
+``_valid_step``, with ``axis=1`` (horizontal) or ``axis=0`` (vertical),
+and track the intervals of valid rows and columns of every lane, raising
+:class:`~repro.errors.ConfigurationError` when the guards are too
+shallow:
 
 * :func:`single_loop_analyze_valid` — the forward sweep.  The sequential
   kernel runs it over each 32-row strip of
-  :class:`~repro.wavelet.kernels.WaveletKernel`'s strip traversal, and
-  the striped SPMD program over each rank's stripe, both with the column
-  axis periodized (``periodic_cols=True``); the block program runs both
-  axes in valid mode and also tracks an interval of valid columns.
-* :func:`single_loop_synthesize_valid` — the inverse sweep, valid rows
-  and periodized columns, which the sequential kernel runs over each
-  strip.  (``striped_reconstruct_program`` reconstructs a single-loop
-  pyramid through the separable lifting passes.)
+  :class:`~repro.wavelet.kernels.WaveletKernel`'s strip traversal, whose
+  margins wrap the image, the striped SPMD program over each rank's
+  stripe, whose column margins wrap the stripe's own rows, and the block
+  program over each block, whose margins all come from its neighbors.
+* :func:`single_loop_synthesize_valid` — the inverse sweep, which the
+  sequential kernel runs over each strip.  (``striped_reconstruct_program``
+  reconstructs a single-loop pyramid through the separable lifting
+  passes.)
 """
 
 from __future__ import annotations
@@ -44,12 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.wavelet.lifting import (
-    LiftingScheme,
-    _circular_shift,
-    _circular_step,
-    _valid_step,
-)
+from repro.wavelet.lifting import LiftingScheme, _valid_step
 
 __all__ = [
     "single_loop_analyze_valid",
@@ -99,22 +95,17 @@ def single_loop_analyze_valid(
     out_rows: int,
     out_cols: int,
     lead_rows: int,
-    lead_cols: int = 0,
-    *,
-    periodic_cols: bool = False,
+    lead_cols: int,
 ):
     """Valid-mode single-loop sweep over a guard-extended tile.
 
-    ``ext`` is the owned tile extended with neighbor guards: the first
-    ``lead_rows`` rows (even) come from the north neighbor, the row tail
-    from the south; with ``periodic_cols=False`` the first ``lead_cols``
-    columns (even) come from the west and the column tail from the east,
-    while ``periodic_cols=True`` treats the column axis as fully owned
-    and periodized (the striped decomposition).  Returns
-    ``(ll, lh, hl, hh)`` of ``out_rows x out_cols`` samples aligned with
-    the owned tile — output ``(i, j)`` corresponds to input offset
-    ``(2i, 2j)`` past the guards.  Raises :class:`ConfigurationError`
-    when the guards are too shallow
+    ``ext`` is the owned tile extended with guards: the first
+    ``lead_rows`` rows (even) come from the north, the row tail from the
+    south, the first ``lead_cols`` columns (even) from the west and the
+    column tail from the east.  Returns ``(ll, lh, hl, hh)`` of
+    ``out_rows x out_cols`` samples aligned with the owned tile — output
+    ``(i, j)`` corresponds to input offset ``(2i, 2j)`` past the guards.
+    Raises :class:`ConfigurationError` when the guards are too shallow
     (:meth:`repro.wavelet.kernels.WaveletKernel.analysis_guard_depths`
     gives sufficient depths — the sweep's per-axis validity erosion is
     exactly the separable lifting pass's).
@@ -143,12 +134,9 @@ def single_loop_analyze_valid(
             # and a stale row never becomes valid again: a horizontal step
             # updates the valid rows only.
             row_valid[t] = lo, hi = _intersect(row_valid[t], row_valid[s])
-            if periodic_cols:
-                _circular_step(lanes[t][lo:hi], lanes[s][lo:hi], step, 1.0, 1)
-            else:
-                col_valid[t] = _valid_step(
-                    lanes[t][lo:hi], lanes[s][lo:hi], step, col_valid[t], col_valid[s], 1.0, 1
-                )
+            col_valid[t] = _valid_step(
+                lanes[t][lo:hi], lanes[s][lo:hi], step, col_valid[t], col_valid[s], 1.0, 1
+            )
         for c in _PARITIES:
             t, s = (step.target, c), (other, c)
             row_valid[t] = _valid_step(
@@ -158,81 +146,65 @@ def single_loop_analyze_valid(
     bands = []
     for v, h in _band_specs(scheme):
         key = (v[0], h[0])
-        lane = lanes[key]
-        r0 = lead_rows // 2 + v[2]
-        r_lo, r_hi = row_valid[key]
-        if r0 < r_lo or r0 + out_rows > r_hi:
-            raise ConfigurationError(
-                f"insufficient row guard for the single-loop sweep: need "
-                f"lane[{r0}:{r0 + out_rows}] valid, have [{r_lo}:{r_hi}) "
-                "(see WaveletKernel.analysis_guard_depths)"
-            )
-        if periodic_cols:
-            if out_cols != lane.shape[1]:
-                raise ConfigurationError(
-                    f"periodic columns own the whole axis: expected "
-                    f"out_cols == {lane.shape[1]}, got {out_cols}"
-                )
-            seg = _circular_shift(lane[r0 : r0 + out_rows], h[2], 1)
-        else:
-            c0 = lead_cols // 2 + h[2]
-            c_lo, c_hi = col_valid[key]
-            if c0 < c_lo or c0 + out_cols > c_hi:
-                raise ConfigurationError(
-                    f"insufficient column guard for the single-loop sweep: "
-                    f"need lane[{c0}:{c0 + out_cols}] valid, have "
-                    f"[{c_lo}:{c_hi}) (see WaveletKernel.analysis_guard_depths)"
-                )
-            seg = lane[r0 : r0 + out_rows, c0 : c0 + out_cols]
-        bands.append((v[1] * h[1]) * seg)
+        r0, c0 = lead_rows // 2 + v[2], lead_cols // 2 + h[2]
+        _check_window(row_valid[key], r0, out_rows, "row", inverse=False)
+        _check_window(col_valid[key], c0, out_cols, "column", inverse=False)
+        bands.append((v[1] * h[1]) * lanes[key][r0 : r0 + out_rows, c0 : c0 + out_cols])
     return tuple(bands)
 
 
-def single_loop_synthesize_valid(
-    ll, lh, hl, hh, scheme: LiftingScheme, lead_rows: int, out: np.ndarray
-) -> np.ndarray:
-    """Valid-mode inverse sweep over guard-extended subband rows, into
-    ``out``.
+def _check_window(valid: tuple, start: int, count: int, axis: str, *, inverse: bool) -> None:
+    """Refuse a lane window ``[start, start + count)`` outside ``valid``."""
+    if start < valid[0] or start + count > valid[1]:
+        sweep, depths = ("inverse sweep", "synthesis") if inverse else ("sweep", "analysis")
+        raise ConfigurationError(
+            f"insufficient {axis} guard for the single-loop {sweep}: need "
+            f"lane[{start}:{start + count}] valid, have [{valid[0]}:{valid[1]}) "
+            f"(see WaveletKernel.{depths}_guard_depths)"
+        )
 
-    The four subbands are owned rows extended with guard rows: the first
-    ``lead_rows`` come from the rows before them, the tail from the rows
-    after; the column axis is whole and periodized.  Fills ``out`` (its
-    row count is the number of image rows wanted, its column count twice
-    the subbands') with the image rows aligned with the owned subband
-    start — ``out`` row ``j`` is row ``2 * (segment_start + lead_rows) +
-    j`` of the periodized inverse — and returns it.  Raises
-    :class:`ConfigurationError` when the guards are too shallow
+
+def single_loop_synthesize_valid(
+    ll, lh, hl, hh, scheme: LiftingScheme, lead: int, out: np.ndarray
+) -> np.ndarray:
+    """Valid-mode inverse sweep over guard-extended subbands, into ``out``.
+
+    The four subbands are owned tiles extended with guards on both axes:
+    the first ``lead`` rows and ``lead`` columns come from before them,
+    the tails from after.  Fills ``out`` with the image samples aligned
+    with the owned subband start — ``out[j, k]`` is image sample
+    ``(2 * (row_start + lead) + j, 2 * (col_start + lead) + k)`` of the
+    periodized inverse — and returns it.
+    Raises :class:`ConfigurationError` when the guards are too shallow
     (:meth:`repro.wavelet.kernels.WaveletKernel.synthesis_guard_depths`
-    gives sufficient depths — the sweep's row validity erodes exactly as
-    in the separable lifting column pass).
+    gives sufficient depths on each axis — the sweep's validity erodes
+    exactly as in the separable lifting passes).
     """
     bands = [np.asarray(b, dtype=np.float64) for b in (ll, lh, hl, hh)]
-    if any(b.ndim != 2 or b.shape != bands[0].shape or not b.shape[1] for b in bands):
+    if any(b.ndim != 2 or b.shape != bands[0].shape for b in bands):
         raise ConfigurationError(
-            "expected four 2-D subbands of one shape with columns, got "
-            f"{[b.shape for b in bands]}"
+            f"expected four 2-D subbands of one shape, got {[b.shape for b in bands]}"
         )
-    n, cols = bands[0].shape
-    if lead_rows < 0:
-        raise ConfigurationError(f"lead_rows must be >= 0, got {lead_rows}")
-    if out.ndim != 2 or out.shape[1] != 2 * cols:
-        raise ConfigurationError(
-            f"out must have {2 * cols} columns for {cols}-column subbands, "
-            f"got shape {out.shape}"
-        )
-    lanes, row_valid = {}, {}
+    if lead < 0:
+        raise ConfigurationError(f"lead must be >= 0, got {lead}")
+    if out.ndim != 2:
+        raise ConfigurationError(f"out must be 2-D, got shape {out.shape}")
+    n_rows, n_cols = bands[0].shape
+    lanes, row_valid, col_valid = {}, {}, {}
     for band, (v, h) in zip(bands, _band_specs(scheme)):
         # lane[i, j] = band[i - v_shift, j - h_shift] / scale where defined,
-        # scaled straight into the rotated columns (a scaled or rotated
-        # temporary costs more than the lane itself).
-        key, shift, k = (v[0], h[0]), v[2], -h[2] % cols
-        lo, hi = min(max(0, shift), n), max(0, min(n, n + shift))
-        lane = lanes[key] = np.empty(band.shape)
-        lane[:lo] = lane[hi:] = 0.0
-        rows, scale = band[lo - shift : hi - shift], 1.0 / (v[1] * h[1])
-        np.multiply(rows[:, k:], scale, out=lane[lo:hi, : cols - k])
-        np.multiply(rows[:, :k], scale, out=lane[lo:hi, cols - k :])
-        row_valid[key] = (lo, hi)
+        # scaled straight into place (a scaled temporary costs more than
+        # the lane itself); the rest is zero and never valid.
+        key = (v[0], h[0])
+        r_lo, r_hi = min(max(0, v[2]), n_rows), max(0, min(n_rows, n_rows + v[2]))
+        c_lo, c_hi = min(max(0, h[2]), n_cols), max(0, min(n_cols, n_cols + h[2]))
+        lane = lanes[key] = np.zeros(band.shape)
+        np.multiply(
+            band[r_lo - v[2] : r_hi - v[2], c_lo - h[2] : c_hi - h[2]],
+            1.0 / (v[1] * h[1]),
+            out=lane[r_lo:r_hi, c_lo:c_hi],
+        )
+        row_valid[key], col_valid[key] = (r_lo, r_hi), (c_lo, c_hi)
     for step in reversed(scheme.steps):
         other = "o" if step.target == "e" else "e"
         for c in _PARITIES:
@@ -240,18 +212,18 @@ def single_loop_synthesize_valid(
             row_valid[t] = _valid_step(
                 lanes[t], lanes[s], step, row_valid[t], row_valid[s], -1.0, 0
             )
+            col_valid[t] = _intersect(col_valid[t], col_valid[s])
         for r in _PARITIES:
             t, s = (r, step.target), (r, other)
             row_valid[t] = lo, hi = _intersect(row_valid[t], row_valid[s])
-            _circular_step(lanes[t][lo:hi], lanes[s][lo:hi], step, -1.0, 1)
-    need = {"e": (out.shape[0] + 1) // 2, "o": out.shape[0] // 2}
-    for (r, c), lane in lanes.items():
-        r_lo, r_hi = row_valid[(r, c)]
-        if lead_rows < r_lo or lead_rows + need[r] > r_hi:
-            raise ConfigurationError(
-                f"insufficient row guard for the single-loop inverse sweep: "
-                f"need lane[{lead_rows}:{lead_rows + need[r]}] valid, have "
-                f"[{r_lo}:{r_hi}) (see WaveletKernel.synthesis_guard_depths)"
+            col_valid[t] = _valid_step(
+                lanes[t][lo:hi], lanes[s][lo:hi], step, col_valid[t], col_valid[s], -1.0, 1
             )
-        out[_OFFSET[r] :: 2, _OFFSET[c] :: 2] = lane[lead_rows : lead_rows + need[r]]
+    rows, cols = out.shape
+    need = {"e": ((rows + 1) // 2, (cols + 1) // 2), "o": (rows // 2, cols // 2)}
+    for (r, c), lane in lanes.items():
+        n_r, n_c = need[r][0], need[c][1]
+        _check_window(row_valid[(r, c)], lead, n_r, "row", inverse=True)
+        _check_window(col_valid[(r, c)], lead, n_c, "column", inverse=True)
+        out[_OFFSET[r] :: 2, _OFFSET[c] :: 2] = lane[lead : lead + n_r, lead : lead + n_c]
     return out

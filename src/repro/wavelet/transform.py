@@ -133,15 +133,5 @@ def idwt_1d(
     impl = get_kernel(kernel)
     signal = np.asarray(approx, dtype=np.float64)
     for detail in reversed(details):
-        if detail.shape != signal.shape:
-            raise ConfigurationError(
-                f"detail shape {detail.shape} does not match running "
-                f"approximation shape {signal.shape}"
-            )
-        if 2 * len(signal) < impl.min_side(bank):
-            raise ConfigurationError(
-                f"approximation length {len(signal)} synthesizes fewer than the "
-                f"{impl.min_side(bank)} samples the {impl.name!r} kernel needs"
-            )
         signal = impl.synthesize(signal, detail, bank, 0)
     return signal

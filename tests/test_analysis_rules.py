@@ -501,6 +501,49 @@ class TestChargingRule:
         assert len(found) == 1
         assert found[0].line == 8
 
+    def test_kernel_before_send_in_loop_is_reported_once(self):
+        # The loop body runs once per fixpoint pass; the finding is one
+        # site, reported once.
+        report = lint(
+            {
+                "fix.charge": """\
+                    from repro.wavelet.conv import analyze_axis_valid
+
+                    TAG = 7925
+
+                    def prog(ctx, block, taps, steps):
+                        for _ in range(steps):
+                            block = analyze_axis_valid(block, taps, 0, 4)
+                            yield ctx.send(1, block, tag=TAG)
+                            block = yield ctx.recv(1, tag=TAG)
+                        return block
+                    """,
+            }
+        )
+        found = hits(report, "CHG-UNCHARGED-KERNEL")
+        assert [f.line for f in found] == [7]
+
+    def test_kernel_before_send_in_nested_loop_is_reported_once(self):
+        report = lint(
+            {
+                "fix.charge": """\
+                    from repro.wavelet.conv import analyze_axis_valid
+
+                    TAG = 7926
+
+                    def prog(ctx, block, taps, outer, inner):
+                        for _ in range(outer):
+                            for _ in range(inner):
+                                block = analyze_axis_valid(block, taps, 0, 4)
+                                yield ctx.send(1, block, tag=TAG)
+                                block = yield ctx.recv(1, tag=TAG)
+                        return block
+                    """,
+            }
+        )
+        found = hits(report, "CHG-UNCHARGED-KERNEL")
+        assert [f.line for f in found] == [8]
+
     def test_branch_local_charge_covers_only_its_branch(self):
         report = lint(
             {

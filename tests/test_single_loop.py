@@ -37,6 +37,12 @@ from tests.test_wavelet_strip_oracle import (
 
 BANK_LENGTHS = (2, 4, 8)
 
+
+def _wrapped(front, n, back):
+    """Indices of ``n`` owned entries with ``front``/``back`` margins,
+    wrapped periodically."""
+    return np.arange(-front, n + back) % n
+
 # Agreement bounds for unit-normal inputs: measured worst case is ~1e-11
 # (D8); these match the kernel-roundtrip benchmark's checks.
 FORWARD_TOL = 1e-9
@@ -141,18 +147,19 @@ class TestSequentialEquivalence:
         assert all(np.array_equal(r, g) for r, g in zip(d_ref, d_got))
 
     def test_analyze_synthesize_primitives_invert(self):
-        # The valid-mode sweeps over periodically gathered guard rows.
+        # The valid-mode sweeps over periodically gathered guard rows and
+        # columns.
         bank = filter_bank_for_length(8)
         scheme = lifting_scheme(bank)
         kernel = get_kernel("single-loop")
         image = RandomState(3).standard_normal((32, 48))
         front, back = kernel.analysis_guard_depths(bank)
-        ext = image[np.arange(-front, 32 + back) % 32]
-        bands = single_loop_analyze_valid(ext, scheme, 16, 24, front, periodic_cols=True)
+        ext = image[_wrapped(front, 32, back), :][:, _wrapped(front, 48, back)]
+        bands = single_loop_analyze_valid(ext, scheme, 16, 24, front, front)
         front, back = kernel.synthesis_guard_depths(bank)
-        seg = np.arange(-front, 16 + back) % 16
+        rows, cols = _wrapped(front, 16, back), _wrapped(front, 24, back)
         back_image = single_loop_synthesize_valid(
-            *(band[seg] for band in bands), scheme, front, np.empty((32, 48))
+            *(band[rows][:, cols] for band in bands), scheme, front, np.empty((32, 48))
         )
         assert np.abs(back_image - image).max() < ROUND_TRIP_TOL
 
@@ -167,7 +174,7 @@ class TestSequentialEquivalence:
         # lanes afresh, so it leaves its subbands untouched too.
         scheme = lifting_scheme(filter_bank_for_length(2))
         image = np.ones((2, 2))
-        bands = single_loop_analyze_valid(image, scheme, 1, 1, 0, periodic_cols=True)
+        bands = single_loop_analyze_valid(image, scheme, 1, 1, 0, 0)
         assert (image == 1.0).all()
         copies = [band.copy() for band in bands]
         single_loop_synthesize_valid(*bands, scheme, 0, np.empty((2, 2)))
@@ -185,13 +192,12 @@ class TestValidMode:
         image = RandomState(50 + m).standard_normal((64, 48))
         ref = single_loop_analyze_2d(image, scheme)
 
-        # Rebuild each 16-row stripe from its periodically wrapped guards.
+        # Rebuild each 16-row stripe from its periodically wrapped guard
+        # rows and columns.
+        cols = _wrapped(front, 48, back)
         for start in range(0, 64, 16):
-            rows = np.arange(start - front, start + 16 + back) % 64
-            ext = image[rows]
-            got = single_loop_analyze_valid(
-                ext, scheme, 8, 24, front, periodic_cols=True
-            )
+            ext = image[np.arange(start - front, start + 16 + back) % 64][:, cols]
+            got = single_loop_analyze_valid(ext, scheme, 8, 24, front, front)
             for got_band, ref_band in zip(got, ref):
                 assert np.array_equal(got_band, ref_band[start // 2 : start // 2 + 8])
 
@@ -205,11 +211,12 @@ class TestValidMode:
         ref = single_loop_synthesize_2d(*bands, scheme)
 
         # Rebuild each 16-row output stripe from periodically gathered
-        # subband rows.
+        # subband rows and columns.
+        cols = _wrapped(front, 24, back)
         for start in range(0, 64, 16):
             seg = np.arange(start // 2 - front, start // 2 + 8 + back) % 32
             got = single_loop_synthesize_valid(
-                *(band[seg] for band in bands), scheme, front, np.empty((16, 48))
+                *(band[seg][:, cols] for band in bands), scheme, front, np.empty((16, 48))
             )
             assert got.tobytes() == ref[start : start + 16].tobytes()
 
@@ -218,23 +225,26 @@ class TestValidMode:
         bank = filter_bank_for_length(m)
         scheme = lifting_scheme(bank)
         front, back = get_kernel("single-loop").synthesis_guard_depths(bank)
-        # Haar's steps reach no neighbor row; every longer filter's do.
+        # Haar's steps reach no neighbor sample; every longer filter's do.
         assert (front > 0, back > 0) == (m > 2, m > 2)
-        bands = RandomState(m).standard_normal((4, front + 8 + back, 16))
+        bands = RandomState(m).standard_normal((4, front + 8 + back, front + 16 + back))
         out = np.empty((16, 32))
         single_loop_synthesize_valid(*bands, scheme, front, out)
         if front:
-            with pytest.raises(ConfigurationError, match="guard"):
-                single_loop_synthesize_valid(*bands[:, 1:], scheme, front - 1, out)
+            # One lead serves both axes; the rows are checked first.
+            with pytest.raises(ConfigurationError, match="row guard"):
+                single_loop_synthesize_valid(*bands[:, 1:, 1:], scheme, front - 1, out)
         if back:
-            with pytest.raises(ConfigurationError, match="guard"):
+            with pytest.raises(ConfigurationError, match="row guard"):
                 single_loop_synthesize_valid(*bands[:, :-1], scheme, front, out)
+            with pytest.raises(ConfigurationError, match="column guard"):
+                single_loop_synthesize_valid(*bands[:, :, :-1], scheme, front, out)
 
     def test_insufficient_row_guard_raises(self):
         scheme = lifting_scheme(filter_bank_for_length(8))
         ext = RandomState(0).standard_normal((20, 32))
         with pytest.raises(ConfigurationError, match="row guard"):
-            single_loop_analyze_valid(ext, scheme, 10, 32, 0, periodic_cols=True)
+            single_loop_analyze_valid(ext, scheme, 10, 8, 0, 0)
 
     def test_insufficient_column_guard_raises(self):
         scheme = lifting_scheme(filter_bank_for_length(8))
@@ -246,7 +256,7 @@ class TestValidMode:
     def test_odd_lead_rejected(self):
         scheme = lifting_scheme(filter_bank_for_length(2))
         with pytest.raises(ConfigurationError, match="even"):
-            single_loop_analyze_valid(np.zeros((8, 8)), scheme, 2, 4, 3)
+            single_loop_analyze_valid(np.zeros((8, 8)), scheme, 2, 4, 3, 0)
 
 
 # -- SPMD programs ----------------------------------------------------------

@@ -1,15 +1,18 @@
-"""Differential oracle for the axis-native conv and lifting primitives.
+"""Differential oracle for the axis-native conv and lifting passes.
 
-The reference functions below are the textbook formulation of the eight
-separable primitives: move the target axis last, build the periodic
-extension (or the zero-stuffed upsampling) of the input, and sum every
-tap over it.  The production primitives instead slice the target axis
-where it lies, split each periodic wrap into a direct and a wrapped
-slice, and synthesize polyphase.  Each output element still gets the
-same products in the same tap order from a +0.0 start, so on finite
-input every result must be byte-identical to the reference (including
-the sign of every zero), inf/NaN input must agree up to NaN payloads,
-and every rejected input must raise the same exception type.
+The references are the textbook formulation of the separable passes:
+move the target axis last, build the periodic extension (or the
+zero-stuffed upsampling) of the input, and sum every tap over it.  The
+periodized references live in :mod:`tests._wavelet_reference`, shared
+with the strip oracle; the valid-mode ones are below.  The kernels'
+periodized passes instead run their valid-mode passes over margins
+wrapped from the data's own ends, and the valid-mode primitives slice
+the target axis where it lies and synthesize polyphase.  Each output
+element still gets the same products in the same tap order from a +0.0
+start, so on finite input every result must be byte-identical to the
+reference (including the sign of every zero), inf/NaN input must agree
+up to NaN payloads, and every rejected input must raise the same
+exception type.
 
 The one intended difference: at its documented minimum guard
 ``lead == (len(taps) - 1) // 2`` the reference ``synthesize_axis_valid``
@@ -18,6 +21,8 @@ crashes on every even-length filter (its deepest tap slices from index
 one more leading guard sample.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,49 +30,33 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.wavelet import (
-    analyze_axis,
+    KERNEL_NAMES,
     analyze_axis_valid,
+    dwt_1d,
     filter_bank_for_length,
-    lifting_analyze_axis,
+    get_kernel,
+    idwt_1d,
     lifting_analyze_axis_valid,
     lifting_scheme,
-    lifting_synthesize_axis,
     lifting_synthesize_axis_valid,
-    synthesize_axis,
     synthesize_axis_valid,
+)
+from tests._wavelet_reference import (
+    _f64,
+    _other,
+    _ref_split_lanes,
+    ref_kernel_analyze,
+    ref_kernel_synthesize,
 )
 
 CONV_LENGTHS = tuple(range(2, 21, 2))  # D2-D20
 LIFTING_LENGTHS = tuple(range(2, 15, 2))  # D2-D14; D16 and longer do not factor
+LIFTING_KERNELS = tuple(name for name in KERNEL_NAMES if name != "conv")
 
 
 # ---------------------------------------------------------------------------
-# Reference: work axis moved last, extended or zero-stuffed copies.
+# Valid-mode references: work axis moved last, zero-stuffed copies.
 # ---------------------------------------------------------------------------
-
-
-def _f64(arr):
-    return np.asarray(arr, dtype=np.float64)
-
-
-def _check_axis_length(n, taps):
-    if n % 2 != 0:
-        raise ConfigurationError(f"axis length must be even for decimation, got {n}")
-    if n < taps:
-        raise ConfigurationError(f"axis length {n} is shorter than the filter")
-
-
-def ref_analyze_axis(data, taps, axis):
-    taps = _f64(taps)
-    moved = np.moveaxis(_f64(data), axis, -1)
-    n = moved.shape[-1]
-    m = taps.size
-    _check_axis_length(n, m)
-    extended = np.concatenate([moved, moved[..., : m - 1]], axis=-1)
-    acc = np.zeros(moved.shape[:-1] + (n // 2,), dtype=np.float64)
-    for k in range(m):
-        acc += taps[k] * extended[..., k : k + n : 2]
-    return np.moveaxis(acc, -1, axis)
 
 
 def ref_analyze_axis_valid(data, taps, axis, out_len):
@@ -83,25 +72,6 @@ def ref_analyze_axis_valid(data, taps, axis, out_len):
     for k in range(m):
         out += taps[k] * moved[..., k : k + 2 * out_len : 2]
     return np.moveaxis(out, -1, axis)
-
-
-def ref_synthesize_axis(data, taps, axis):
-    taps = _f64(taps)
-    moved = np.moveaxis(_f64(data), axis, -1)
-    n = moved.shape[-1] * 2
-    m = taps.size
-    _check_axis_length(n, m)
-    upsampled = np.zeros(moved.shape[:-1] + (n,), dtype=np.float64)
-    upsampled[..., ::2] = moved
-    if m > 1:
-        extended = np.concatenate([upsampled[..., n - (m - 1) :], upsampled], axis=-1)
-    else:
-        extended = upsampled
-    acc = np.zeros(moved.shape[:-1] + (n,), dtype=np.float64)
-    for k in range(m):
-        start = m - 1 - k
-        acc += taps[k] * extended[..., start : start + n]
-    return np.moveaxis(acc, -1, axis)
 
 
 def ref_synthesize_axis_valid(data, taps, axis, out_len, lead):
@@ -124,35 +94,6 @@ def ref_synthesize_axis_valid(data, taps, axis, out_len, lead):
     return np.moveaxis(out, -1, axis)
 
 
-def _ref_circular_step(target, source, step, sign):
-    n = source.shape[-1]
-    lo = step.dmin
-    hi = step.dmin + len(step.coeffs) - 1
-    pre, post = max(0, -lo), max(0, hi)
-    if pre > n or post > n:
-        raise ConfigurationError("lifting step would wrap more than once")
-    parts = [source[..., n - pre :]] if pre else []
-    parts.append(source)
-    if post:
-        parts.append(source[..., :post])
-    extended = np.concatenate(parts, axis=-1) if len(parts) > 1 else source
-    for j, c in enumerate(step.coeffs):
-        offset = pre + lo + j
-        target += (sign * c) * extended[..., offset : offset + n]
-
-
-def _ref_circular_shift(arr, k):
-    n = arr.shape[-1]
-    k %= n
-    if k == 0:
-        return arr
-    return np.concatenate([arr[..., k:], arr[..., :k]], axis=-1)
-
-
-def _ref_split_lanes(moved):
-    return np.ascontiguousarray(moved[..., 0::2]), np.ascontiguousarray(moved[..., 1::2])
-
-
 def _ref_valid_step(target, source, step, t_valid, s_valid, sign):
     lo = step.dmin
     hi = step.dmin + len(step.coeffs) - 1
@@ -164,40 +105,6 @@ def _ref_valid_step(target, source, step, t_valid, s_valid, sign):
             s0 = a + lo + j
             acc += (sign * c) * source[..., s0 : s0 + (b - a)]
     return (max(t_valid[0], s_valid[0] - lo, a), min(t_valid[1], s_valid[1] - hi, b))
-
-
-def _other(lane):
-    return "o" if lane == "e" else "e"
-
-
-def ref_lifting_analyze_axis(data, scheme, axis):
-    moved = np.moveaxis(_f64(data), axis, -1)
-    n = moved.shape[-1]
-    _check_axis_length(n, scheme.filter_length)
-    lanes = dict(zip("eo", _ref_split_lanes(moved)))
-    for step in scheme.steps:
-        _ref_circular_step(lanes[step.target], lanes[_other(step.target)], step, 1.0)
-    approx = scheme.low_scale * _ref_circular_shift(lanes[scheme.low_lane], scheme.low_shift)
-    detail = scheme.high_scale * _ref_circular_shift(lanes[scheme.high_lane], scheme.high_shift)
-    return np.moveaxis(approx, -1, axis), np.moveaxis(detail, -1, axis)
-
-
-def ref_lifting_synthesize_axis(approx, detail, scheme, axis):
-    approx, detail = _f64(approx), _f64(detail)
-    if approx.shape != detail.shape:
-        raise ConfigurationError("approx and detail shapes differ")
-    a = np.moveaxis(approx, axis, -1)
-    d = np.moveaxis(detail, axis, -1)
-    lanes = {
-        scheme.low_lane: _ref_circular_shift(a * (1.0 / scheme.low_scale), -scheme.low_shift),
-        scheme.high_lane: _ref_circular_shift(d * (1.0 / scheme.high_scale), -scheme.high_shift),
-    }
-    for step in reversed(scheme.steps):
-        _ref_circular_step(lanes[step.target], lanes[_other(step.target)], step, -1.0)
-    out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=np.float64)
-    out[..., 0::2] = lanes["e"]
-    out[..., 1::2] = lanes["o"]
-    return np.moveaxis(out, -1, axis)
 
 
 def ref_lifting_analyze_axis_valid(data, scheme, axis, out_len, lead):
@@ -358,12 +265,16 @@ def test_conv_primitives_match_reference(data):
     taps = bank.lowpass if data.draw(st.booleans(), label="lowpass") else bank.highpass
     finite = data.draw(st.integers(0, 4), label="finite") > 0
     kind = data.draw(st.sampled_from(["analyze", "synth", "analyze_valid", "synth_valid"]))
+    conv = get_kernel("conv")
     if kind == "analyze":
         x, axis = _draw_array(data, m + data.draw(st.integers(-2, 12)), finite=finite)
-        _check(analyze_axis, ref_analyze_axis, (x, taps, axis), finite=finite)
+        reference = partial(ref_kernel_analyze, "conv")
+        _check(conv.analyze, reference, (x, bank, axis), finite=finite)
     elif kind == "synth":
-        x, axis = _draw_array(data, m // 2 + data.draw(st.integers(-1, 6)), finite=finite)
-        _check(synthesize_axis, ref_synthesize_axis, (x, taps, axis), finite=finite)
+        a, axis = _draw_array(data, m // 2 + data.draw(st.integers(-1, 6)), finite=finite)
+        d = _draw_values(data, a.shape, finite=finite)
+        reference = partial(ref_kernel_synthesize, "conv")
+        _check(conv.synthesize, reference, (a, d, bank, axis), finite=finite)
     elif kind == "analyze_valid":
         x, axis = _draw_array(data, m + data.draw(st.integers(-m, 10)), finite=finite)
         full = (x.shape[axis] - m) // 2 + 1
@@ -391,17 +302,23 @@ def test_conv_primitives_match_reference(data):
 @given(data=st.data())
 def test_lifting_primitives_match_reference(data):
     m = data.draw(st.sampled_from(LIFTING_LENGTHS), label="taps")
-    scheme = lifting_scheme(filter_bank_for_length(m))
+    bank = filter_bank_for_length(m)
+    scheme = lifting_scheme(bank)
     finite = data.draw(st.integers(0, 4), label="finite") > 0
     kind = data.draw(st.sampled_from(["analyze", "synth", "analyze_valid", "synth_valid"]))
+    name = data.draw(st.sampled_from(LIFTING_KERNELS), label="kernel")
+    kernel = get_kernel(name)
     if kind == "analyze":
         x, axis = _draw_array(data, m + data.draw(st.integers(-2, 12)), finite=finite)
-        _check(lifting_analyze_axis, ref_lifting_analyze_axis, (x, scheme, axis), finite=finite)
+        reference = partial(ref_kernel_analyze, name)
+        _check(kernel.analyze, reference, (x, bank, axis), finite=finite)
     elif kind == "synth":
+        # A subband of m // 2 - 1 samples synthesizes fewer than the
+        # filter length: the kernel and the reference both refuse it.
         a, axis = _draw_array(data, m // 2 + data.draw(st.integers(-1, 6)), finite=finite)
         d = _draw_values(data, a.shape, finite=finite)
-        args = (a, d, scheme, axis)
-        _check(lifting_synthesize_axis, ref_lifting_synthesize_axis, args, finite=finite)
+        reference = partial(ref_kernel_synthesize, name)
+        _check(kernel.synthesize, reference, (a, d, bank, axis), finite=finite)
     elif kind == "analyze_valid":
         front, back = scheme.analysis_margins
         lead = front + 2 * data.draw(st.integers(-1, 1), label="lead offset")
@@ -439,3 +356,41 @@ def test_synthesize_valid_at_minimum_guard(m):
     got = synthesize_axis_valid(data, taps, 1, out_len, lead)
     want = ref_synthesize_axis_valid(_pad_front(data, 1), taps, 1, out_len, lead + 1)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+def test_per_axis_passes_refuse_exactly_where_the_1d_transform_does(kernel):
+    """Every kernel x every bank it factors x axis lengths 0 to
+    ``min_side + 2``, on 1-D and 2-D inputs: a periodized pass returns
+    the textbook reference bitwise, or raises ConfigurationError exactly
+    where ``dwt_1d`` / ``idwt_1d`` refuse that length."""
+    impl = get_kernel(kernel)
+    rng = np.random.RandomState(7)
+    for m in CONV_LENGTHS if kernel == "conv" else LIFTING_LENGTHS:
+        bank = filter_bank_for_length(m)
+        for n in range(impl.min_side(bank) + 3):
+            zeros = np.zeros(n)
+            analysis_refused = isinstance(
+                _outcome(partial(dwt_1d, kernel=kernel), zeros, bank), ConfigurationError
+            )
+            synthesis_refused = isinstance(
+                _outcome(partial(idwt_1d, kernel=kernel), zeros, [zeros], bank),
+                ConfigurationError,
+            )
+            for shape, axis in (((n,), 0), ((n, 3), 0), ((3, n), 1)):
+                x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+                case = (kernel, m, n, shape)
+                got = _outcome(impl.analyze, x, bank, axis)
+                if analysis_refused:
+                    assert isinstance(got, ConfigurationError), case
+                else:
+                    assert not isinstance(got, Exception), case
+                    want = ref_kernel_analyze(kernel, x, bank, axis)
+                    assert [g.tobytes() for g in got] == [w.tobytes() for w in want], case
+                got = _outcome(impl.synthesize, x, y, bank, axis)
+                if synthesis_refused:
+                    assert isinstance(got, ConfigurationError), case
+                else:
+                    assert not isinstance(got, Exception), case
+                    want = ref_kernel_synthesize(kernel, x, y, bank, axis)
+                    assert got.tobytes() == want.tobytes(), case

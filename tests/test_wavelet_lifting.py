@@ -7,16 +7,13 @@ from repro.errors import ConfigurationError
 from repro.machines import paragon
 from repro.machines.simd import MasParMachine, maspar_mp2
 from repro.wavelet import (
-    analyze_axis,
     daubechies_filter,
     dwt_1d,
     filter_bank_for_length,
     get_kernel,
     haar_filter,
-    lifting_analyze_axis,
     lifting_analyze_axis_valid,
     lifting_scheme,
-    lifting_synthesize_axis,
     lifting_synthesize_axis_valid,
     mallat_decompose_2d,
     mallat_reconstruct_2d,
@@ -24,6 +21,7 @@ from repro.wavelet import (
 from repro.wavelet.parallel import run_spmd_wavelet, simd_mallat_decompose
 from repro.wavelet.parallel.spmd_1d import run_spmd_dwt_1d, run_spmd_idwt_1d
 from repro.wavelet.parallel.spmd_reconstruct import run_spmd_reconstruct
+from tests._wavelet_reference import ref_kernel_analyze
 
 BANKS = [haar_filter(), daubechies_filter(4), daubechies_filter(8)]
 
@@ -62,18 +60,18 @@ class TestFactorization:
     def test_periodized_matches_conv(self, bank):
         rng = np.random.RandomState(0)
         data = rng.standard_normal((6, 64))
-        scheme = lifting_scheme(bank)
-        approx, detail = lifting_analyze_axis(data, scheme, axis=1)
-        assert np.abs(approx - analyze_axis(data, bank.lowpass, 1)).max() < 1e-9
-        assert np.abs(detail - analyze_axis(data, bank.highpass, 1)).max() < 1e-9
+        approx, detail = get_kernel("lifting").analyze(data, bank, axis=1)
+        ref_a, ref_d = ref_kernel_analyze("conv", data, bank, 1)
+        assert np.abs(approx - ref_a).max() < 1e-9
+        assert np.abs(detail - ref_d).max() < 1e-9
 
     @pytest.mark.parametrize("bank", BANKS, ids=lambda b: b.name)
     def test_periodized_round_trip(self, bank):
         rng = np.random.RandomState(1)
         data = rng.standard_normal(128)
-        scheme = lifting_scheme(bank)
-        approx, detail = lifting_analyze_axis(data, scheme, axis=0)
-        back = lifting_synthesize_axis(approx, detail, scheme, axis=0)
+        lifting = get_kernel("lifting")
+        approx, detail = lifting.analyze(data, bank, axis=0)
+        back = lifting.synthesize(approx, detail, bank, axis=0)
         assert np.abs(back - data).max() < 1e-10
 
     @pytest.mark.parametrize("bank", BANKS, ids=lambda b: b.name)
@@ -82,7 +80,7 @@ class TestFactorization:
         n = 64
         data = rng.standard_normal(n)
         scheme = lifting_scheme(bank)
-        ref_a, ref_d = lifting_analyze_axis(data, scheme, axis=0)
+        ref_a, ref_d = ref_kernel_analyze("lifting", data, bank, 0)
         lifting = get_kernel("lifting")
         front, back = lifting.analysis_guard_depths(bank)
         ext = np.concatenate([data[n - front :], data, data[:back]])
@@ -105,16 +103,15 @@ class TestFactorization:
             lifting_analyze_axis_valid(data, scheme, 0, 16, 0)
 
     def test_odd_axis_rejected(self):
-        scheme = lifting_scheme(haar_filter())
         with pytest.raises(ConfigurationError):
-            lifting_analyze_axis(np.zeros(31), scheme, axis=0)
+            get_kernel("lifting").analyze(np.zeros(31), haar_filter(), axis=0)
 
     def test_one_sample_lanes_leave_the_input_untouched(self):
         # A lane of one sample per column is a contiguous view of the input;
         # the in-place steps must run on a copy.
         scheme = lifting_scheme(haar_filter())
         data = np.ones((2, 4))
-        lifting_analyze_axis(data, scheme, axis=0)
+        get_kernel("lifting").analyze(data, haar_filter(), axis=0)
         lifting_analyze_axis_valid(data, scheme, 0, 1, 0)
         assert (data == 1.0).all()
 

@@ -257,22 +257,27 @@ class TestOneDAndInverseEqualSequential:
     striped reconstruction, over kernel x P in {1, 2, 4, 8} x D2-D20 x
     1-3 levels x the samples (or rows) each rank owns at the coarsest
     level: wherever the SPMD program runs it is bitwise the sequential
-    transform, and wherever that refuses, so does the program.  The
+    transform, and wherever that refuses, so does the program.  On one
+    rank the program also runs wherever the sequential transform runs:
+    its ring wraps the rank's own data, as deep as the guards go.  The
     single-loop reconstruction runs the separable lifting passes, so its
     reference is the lifting kernel's."""
 
     LOCAL = (1, 2, 3, 6)
-    #: Coarsest-level (rows per rank, columns) of the reconstructed pyramids.
-    TILES = ((1, 4), (2, 2), (3, 6), (6, 1))
+    #: Coarsest-level (rows per rank, columns) of the reconstructed
+    #: pyramids; (6, 6) is a D12 stripe shallower than its guards.
+    TILES = ((1, 4), (2, 2), (3, 6), (6, 1), (6, 6))
 
     @staticmethod
     def _agree(sequential, parallel, arrays, case) -> bool:
-        """Assert the property for one case, with ``arrays`` listing each
-        side's result; True when both ran."""
+        """Assert the property for one case (``case[0]`` is the rank
+        count), with ``arrays`` listing each side's result; True when
+        both ran."""
         if isinstance(sequential, ConfigurationError):
             assert isinstance(parallel, ConfigurationError), case
             return False
         if isinstance(parallel, ConfigurationError):
+            assert case[0] > 1, (case, parallel)
             return False
         assert [(a.shape, a.tobytes()) for a in arrays(parallel)] == [
             (b.shape, b.tobytes()) for b in arrays(sequential)

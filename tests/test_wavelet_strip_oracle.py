@@ -1,16 +1,18 @@
 """Differential oracle for the strip traversal of the 2-D step.
 
-The references below are the whole-image forms of each kernel's level.
-For the separable kernels it is the paper's Mallat step: the periodized
-row pass over the whole image, then the periodized column pass over each
-half, and the mirrored synthesis.  For single-loop it is the periodized
-single-loop sweep over the four polyphase lanes of the whole image, and
-its inverse.  The kernels instead run each level over 32-row strips, in
-valid mode along the rows over guard rows gathered periodically.  Each
-output element still gets the same products in the same step and tap
-order, so every band must be byte-identical to the reference and
-C-ordered, including where one strip wraps the image more than once and
-where the last strip is partial.
+The references below are the whole-image forms of each kernel's level,
+built from the textbook periodized passes of
+:mod:`tests._wavelet_reference`.  For the separable kernels it is the
+paper's Mallat step: the periodized row pass over the whole image, then
+the periodized column pass over each half, and the mirrored synthesis.
+For single-loop it is the periodized single-loop sweep over the four
+polyphase lanes of the whole image, and its inverse.  The kernels
+instead run each level over 32-row strips, in valid mode along both axes
+over margins copied periodically.  Each output element still gets the
+same products in the same step and tap order, so every band must be
+byte-identical to the reference and C-ordered, including where one
+strip's margins wrap the image more than once and where the last strip
+is partial.
 """
 
 import numpy as np
@@ -26,13 +28,19 @@ from repro.wavelet import (
     mallat_decompose_2d,
     max_decomposition_levels,
 )
-from repro.wavelet.lifting import LiftingScheme, _circular_shift, _circular_step
+from repro.wavelet.lifting import LiftingScheme
 from repro.wavelet.singleloop import (
     _OFFSET,
     _PARITIES,
     _band_specs,
     _split_quads,
     _validate_even,
+)
+from tests._wavelet_reference import (
+    _ref_circular_shift,
+    _ref_circular_step,
+    ref_kernel_analyze,
+    ref_kernel_synthesize,
 )
 
 ALL = ("conv", "lifting", "fused", "single-loop")
@@ -77,14 +85,14 @@ def single_loop_analyze_2d(image: np.ndarray, scheme: LiftingScheme):
     for step in scheme.steps:
         other = "o" if step.target == "e" else "e"
         for r in _PARITIES:
-            _circular_step(lanes[(r, step.target)], lanes[(r, other)], step, 1.0, 1)
+            _ref_circular_step(lanes[(r, step.target)], lanes[(r, other)], step, 1.0, 1)
         for c in _PARITIES:
-            _circular_step(lanes[(step.target, c)], lanes[(other, c)], step, 1.0, 0)
+            _ref_circular_step(lanes[(step.target, c)], lanes[(other, c)], step, 1.0, 0)
     bands = []
     for v, h in _band_specs(scheme):
         lane = lanes[(v[0], h[0])]
-        shifted = _circular_shift(_circular_shift(lane, v[2], 0), h[2], 1)
-        bands.append((v[1] * h[1]) * shifted)
+        shifted = _ref_circular_shift(_ref_circular_shift(lane, v[2], 0), h[2], 1)
+        bands.append(np.ascontiguousarray((v[1] * h[1]) * shifted))
     return tuple(bands)
 
 
@@ -102,14 +110,14 @@ def single_loop_synthesize_2d(ll, lh, hl, hh, scheme: LiftingScheme) -> np.ndarr
     lanes = {}
     for band, (v, h) in zip(bands, _band_specs(scheme)):
         lane = band * (1.0 / (v[1] * h[1]))
-        lane = _circular_shift(_circular_shift(lane, -v[2], 0), -h[2], 1)
+        lane = _ref_circular_shift(_ref_circular_shift(lane, -v[2], 0), -h[2], 1)
         lanes[(v[0], h[0])] = np.ascontiguousarray(lane)
     for step in reversed(scheme.steps):
         other = "o" if step.target == "e" else "e"
         for c in _PARITIES:
-            _circular_step(lanes[(step.target, c)], lanes[(other, c)], step, -1.0, 0)
+            _ref_circular_step(lanes[(step.target, c)], lanes[(other, c)], step, -1.0, 0)
         for r in _PARITIES:
-            _circular_step(lanes[(r, step.target)], lanes[(r, other)], step, -1.0, 1)
+            _ref_circular_step(lanes[(r, step.target)], lanes[(r, other)], step, -1.0, 1)
     out = np.empty((2 * shape[0], 2 * shape[1]), dtype=np.float64)
     for r in _PARITIES:
         for c in _PARITIES:
@@ -122,8 +130,14 @@ def whole_image_forward(kernel, image, bank):
     the row pass then the column pass of each half."""
     if kernel.name == "single-loop":
         return single_loop_analyze_2d(image, lifting_scheme(bank))
-    low, high = kernel.analyze(image, bank, 1)
-    return (*kernel.analyze(low, bank, 0), *kernel.analyze(high, bank, 0))
+    low, high = ref_kernel_analyze(kernel.name, image, bank, 1)
+    bands = (
+        *ref_kernel_analyze(kernel.name, low, bank, 0),
+        *ref_kernel_analyze(kernel.name, high, bank, 0),
+    )
+    # C-ordered, as the kernels' bands are, so a sum over a band adds in
+    # the same order.
+    return tuple(np.ascontiguousarray(band) for band in bands)
 
 
 def whole_image_inverse(kernel, ll, lh, hl, hh, bank):
@@ -131,9 +145,9 @@ def whole_image_inverse(kernel, ll, lh, hl, hh, bank):
     row synthesis."""
     if kernel.name == "single-loop":
         return single_loop_synthesize_2d(ll, lh, hl, hh, lifting_scheme(bank))
-    low = kernel.synthesize(ll, lh, bank, 0)
-    high = kernel.synthesize(hl, hh, bank, 0)
-    return kernel.synthesize(low, high, bank, 1)
+    low = ref_kernel_synthesize(kernel.name, ll, lh, bank, 0)
+    high = ref_kernel_synthesize(kernel.name, hl, hh, bank, 0)
+    return ref_kernel_synthesize(kernel.name, low, high, bank, 1)
 
 
 def _image(shape, m):
