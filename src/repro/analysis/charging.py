@@ -56,13 +56,9 @@ DEFAULT_KERNEL_CALLS = frozenset(
         "synthesize",
         "synthesize_valid",
         "sweep_valid",
-        "analyze_axis",
         "analyze_axis_valid",
-        "synthesize_axis",
         "synthesize_axis_valid",
-        "lifting_analyze_axis",
         "lifting_analyze_axis_valid",
-        "lifting_synthesize_axis",
         "lifting_synthesize_axis_valid",
         "single_loop_analyze_valid",
         "single_loop_synthesize_valid",

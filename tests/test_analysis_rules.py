@@ -378,12 +378,12 @@ class TestChargingRule:
         report = lint(
             {
                 "fix.charge": """\
-                    from repro.wavelet.kernels import analyze_axis
+                    from repro.wavelet.conv import analyze_axis_valid
 
                     TAG = 7900
 
-                    def prog(ctx, block):
-                        block = analyze_axis(block, 0)
+                    def prog(ctx, block, taps):
+                        block = analyze_axis_valid(block, taps, 0, 4)
                         yield ctx.send(1, block, tag=TAG)
                         got = yield ctx.recv(1, tag=TAG)
                         return got
@@ -393,7 +393,7 @@ class TestChargingRule:
         found = hits(report, "CHG-UNCHARGED-KERNEL")
         assert len(found) == 1
         assert found[0].line == 6
-        assert "analyze_axis" in found[0].message
+        assert "analyze_axis_valid" in found[0].message
 
     @pytest.mark.parametrize(
         "method",
@@ -463,12 +463,12 @@ class TestChargingRule:
         report = lint(
             {
                 "fix.charge": """\
-                    from repro.wavelet.kernels import analyze_axis
+                    from repro.wavelet.conv import analyze_axis_valid
 
                     TAG = 7910
 
-                    def prog(ctx, block):
-                        block = analyze_axis(block, 0)
+                    def prog(ctx, block, taps):
+                        block = analyze_axis_valid(block, taps, 0, 4)
                         yield ctx.compute(flops=2.0 * block.size)
                         yield ctx.send(1, block, tag=TAG)
                         got = yield ctx.recv(1, tag=TAG)
@@ -484,14 +484,14 @@ class TestChargingRule:
         report = lint(
             {
                 "fix.charge": """\
-                    from repro.wavelet.kernels import analyze_axis
+                    from repro.wavelet.conv import analyze_axis_valid
 
                     TAG = 7920
 
-                    def prog(ctx, block, steps):
+                    def prog(ctx, block, taps, steps):
                         for _ in range(steps):
                             got = yield ctx.recv(0, tag=TAG)
-                            block = analyze_axis(got, 0)
+                            block = analyze_axis_valid(got, taps, 0, 4)
                         yield ctx.compute(flops=1.0)
                         return block
                     """,
@@ -548,16 +548,16 @@ class TestChargingRule:
         report = lint(
             {
                 "fix.charge": """\
-                    from repro.wavelet.kernels import analyze_axis
+                    from repro.wavelet.conv import analyze_axis_valid
 
                     TAG = 7930
 
-                    def prog(ctx, block, fast):
+                    def prog(ctx, block, taps, fast):
                         if fast:
-                            block = analyze_axis(block, 0)
+                            block = analyze_axis_valid(block, taps, 0, 4)
                             yield ctx.compute(flops=1.0)
                         else:
-                            block = analyze_axis(block, 1)
+                            block = analyze_axis_valid(block, taps, 1, 4)
                         yield ctx.send(1, block, tag=TAG)
                         got = yield ctx.recv(1, tag=TAG)
                         return got
@@ -585,10 +585,10 @@ class TestChargingRule:
         report = lint(
             {
                 "fix.charge": """\
-                    from repro.wavelet.kernels import analyze_axis
+                    from repro.wavelet.conv import analyze_axis_valid
 
-                    def prog(ctx, block):
-                        block = analyze_axis(block, 0)
+                    def prog(ctx, block, taps):
+                        block = analyze_axis_valid(block, taps, 0, 4)
                         yield from _charge_helper(ctx, block)
                         return block
                     """,
@@ -630,7 +630,7 @@ class TestChargingRule:
         report = lint(
             {
                 "fix.charge": """\
-                    from repro.wavelet.kernels import analyze_axis
+                    from repro.wavelet.conv import analyze_axis_valid
 
                     TAG = 7950
 
@@ -639,8 +639,8 @@ class TestChargingRule:
                         yield ctx.send(1, block, tag=TAG)
                         return (yield ctx.recv(1, tag=TAG))
 
-                    def prog(ctx, block):
-                        block = analyze_axis(block, 0)
+                    def prog(ctx, block, taps):
+                        block = analyze_axis_valid(block, taps, 0, 4)
                         block = yield from _step(ctx, block)
                         return block
                     """,
